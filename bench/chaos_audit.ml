@@ -29,17 +29,18 @@ let audit_cell protocol preset ~seed =
     | Error m -> Fmt.str "VIOLATION %s" m
   in
   let live = if Chaos.Audit.liveness_ok r then "live" else "STALLED" in
+  let c = Chaos.Audit.counter r in
   let failover_summary =
     if failover then
       Fmt.str " vc=%d retries=%d indoubt=%d elect=%dus"
-        r.Chaos.Audit.view_changes r.Chaos.Audit.rpc_retries
-        r.Chaos.Audit.in_doubt_resolved r.Chaos.Audit.max_election_us
+        r.Chaos.Audit.view_changes (c "failover.rpc_retries")
+        (c "failover.in_doubt_resolved") (c "failover.max_election_us")
     else ""
   in
   Fmt.pr "  %s  %-10s %-8s ops=%-6d unacked=%-4d drops=%d/%d/%d%s@." name
-    verdict live r.Chaos.Audit.ops_completed r.Chaos.Audit.unacked_commits
-    r.Chaos.Audit.dropped_crash r.Chaos.Audit.dropped_partition
-    r.Chaos.Audit.dropped_loss failover_summary;
+    verdict live r.Chaos.Audit.ops_completed (c "op.unacked_commits_swept")
+    (c "fault.dropped_crash") (c "fault.dropped_partition")
+    (c "fault.dropped_loss") failover_summary;
   (r.Chaos.Audit.check = Ok (), Chaos.Audit.liveness_ok r)
 
 let battery seeds =

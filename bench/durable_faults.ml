@@ -39,19 +39,27 @@ type measured = {
   digest : string;  (* MD5 of the canonical history trace *)
   n_ops : int;
   cpu_s : float;
-  disk_torn : int;
-  disk_corrupt : int;
-  disk_resurfaced : int;
-  disk_lost_ints : int;
-  disk_crashes : int;
-  scrub_passes : int;
-  scrub_flagged : int;
-  repairs_torn : int;
-  repairs_quarantined : int;
-  repairs_peer : int;
-  place_repairs : int;
-  unrepaired : int;
+  counts : (string * int) list;  (* [fields], in order *)
 }
+
+(* Each report field and the audit counter behind it. *)
+let fields =
+  [
+    ("disk_torn", "durable.fault.torn");
+    ("disk_corrupt", "durable.fault.corrupt");
+    ("disk_resurfaced", "durable.fault.resurfaced");
+    ("disk_lost_ints", "durable.fault.lost_ints");
+    ("disk_crashes", "durable.fault.crashes");
+    ("scrub_passes", "durable.scrub.passes");
+    ("scrub_flagged", "durable.scrub.flagged");
+    ("repairs_torn", "durable.repair.torn");
+    ("repairs_quarantined", "durable.repair.quarantined");
+    ("repairs_peer", "durable.repair.peer");
+    ("place_repairs", "durable.repair.place");
+    ("unrepaired", "durable.repair.unrepaired");
+  ]
+
+let get m field = List.assoc field m.counts
 
 let disk_faults_for preset ~seed =
   match Chaos.Nemesis.disk_spec preset with
@@ -70,26 +78,16 @@ let measure ?disk_faults ~name ~protocol ~preset ~duration_s ~seed () =
       ~duration_s ~seed ()
   in
   let cpu_s = Sys.time () -. t0 in
+  let c = Chaos.Audit.counter r in
   {
     name;
     verdict = (match r.Chaos.Audit.check with Ok () -> "pass" | Error _ -> "fail");
     detail = (match r.Chaos.Audit.check with Ok () -> "" | Error m -> m);
     live = Chaos.Audit.liveness_ok r;
     digest = Digest.to_hex (Digest.string r.Chaos.Audit.trace);
-    n_ops = r.Chaos.Audit.history_len;
+    n_ops = c "op.history_records";
     cpu_s;
-    disk_torn = r.Chaos.Audit.disk_torn;
-    disk_corrupt = r.Chaos.Audit.disk_corrupt;
-    disk_resurfaced = r.Chaos.Audit.disk_resurfaced;
-    disk_lost_ints = r.Chaos.Audit.disk_lost_ints;
-    disk_crashes = r.Chaos.Audit.disk_crashes;
-    scrub_passes = r.Chaos.Audit.scrub_passes;
-    scrub_flagged = r.Chaos.Audit.scrub_flagged;
-    repairs_torn = r.Chaos.Audit.repairs_torn;
-    repairs_quarantined = r.Chaos.Audit.repairs_quarantined;
-    repairs_peer = r.Chaos.Audit.repairs_peer;
-    place_repairs = r.Chaos.Audit.place_repairs;
-    unrepaired = r.Chaos.Audit.unrepaired;
+    counts = List.map (fun (f, name) -> (f, c name)) fields;
   }
 
 (* The broken-control configuration: checksum-blind stores under a crafted
@@ -182,17 +180,11 @@ let json_float f = if Float.is_nan f then "null" else Printf.sprintf "%.6f" f
 let measured_json b m =
   Printf.bprintf b
     "{\"name\": \"%s\", \"verdict\": \"%s\", \"detail\": \"%s\", \
-     \"live\": %b, \"digest\": \"%s\", \"n_ops\": %d, \"cpu_s\": %s, \
-     \"disk_torn\": %d, \"disk_corrupt\": %d, \"disk_resurfaced\": %d, \
-     \"disk_lost_ints\": %d, \"disk_crashes\": %d, \"scrub_passes\": %d, \
-     \"scrub_flagged\": %d, \"repairs_torn\": %d, \
-     \"repairs_quarantined\": %d, \"repairs_peer\": %d, \
-     \"place_repairs\": %d, \"unrepaired\": %d}"
+     \"live\": %b, \"digest\": \"%s\", \"n_ops\": %d, \"cpu_s\": %s%s}"
     m.name m.verdict (json_escape m.detail) m.live m.digest m.n_ops
-    (json_float m.cpu_s) m.disk_torn m.disk_corrupt m.disk_resurfaced
-    m.disk_lost_ints m.disk_crashes m.scrub_passes m.scrub_flagged
-    m.repairs_torn m.repairs_quarantined m.repairs_peer m.place_repairs
-    m.unrepaired
+    (json_float m.cpu_s)
+    (String.concat ""
+       (List.map (fun (f, v) -> Printf.sprintf ", \"%s\": %d" f v) m.counts))
 
 (* ------------------------------------------------------------------ *)
 (* Main                                                                *)
@@ -227,9 +219,10 @@ let () =
       "   %-36s verdict=%-5s live=%b  damage(torn=%d corrupt=%d stale=%d)  \
        repairs(torn=%d quar=%d peer=%d place=%d)  unrepaired=%d\n\
        %!"
-      m.name m.verdict m.live m.disk_torn m.disk_corrupt m.disk_resurfaced
-      m.repairs_torn m.repairs_quarantined m.repairs_peer m.place_repairs
-      m.unrepaired
+      m.name m.verdict m.live (get m "disk_torn") (get m "disk_corrupt")
+      (get m "disk_resurfaced") (get m "repairs_torn")
+      (get m "repairs_quarantined") (get m "repairs_peer")
+      (get m "place_repairs") (get m "unrepaired")
   in
   let runs =
     List.concat_map
@@ -271,10 +264,15 @@ let () =
        else detail)
   | None -> Printf.printf "   integrity-off control NOT caught\n%!");
   let all_pass =
-    List.for_all (fun m -> m.verdict = "pass" && m.live && m.unrepaired = 0) runs
+    List.for_all
+      (fun m -> m.verdict = "pass" && m.live && get m "unrepaired" = 0)
+      runs
   in
   let repaired =
-    List.exists (fun m -> m.repairs_torn + m.repairs_peer + m.place_repairs > 0) runs
+    List.exists
+      (fun m ->
+        get m "repairs_torn" + get m "repairs_peer" + get m "place_repairs" > 0)
+      runs
   in
   let ok = all_pass && repaired && deterministic && control_caught in
   Printf.printf

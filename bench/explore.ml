@@ -99,23 +99,8 @@ let () =
   in
   (* The raw audit run, no explorer involved: the reference digest. *)
   let raw_digest =
-    let i = base_in in
-    let duration_s = float_of_int i.Explore.Exec.duration_ms /. 1_000.0 in
-    let schedule =
-      Chaos.Audit.nemesis_schedule i.Explore.Exec.protocol
-        i.Explore.Exec.preset ~duration_s ~seed:i.Explore.Exec.nemesis_seed
-    in
-    let run =
-      Chaos.Audit.run i.Explore.Exec.protocol ~schedule
-        ~n_slots:i.Explore.Exec.n_slots ~n_keys:i.Explore.Exec.n_keys
-        ~timeout_us:(i.Explore.Exec.timeout_ms * 1_000)
-        ~conflict:(float_of_int i.Explore.Exec.conflict_pct /. 100.0)
-        ~write_ratio:(float_of_int i.Explore.Exec.write_pct /. 100.0)
-        ~failover:
-          (Chaos.Nemesis.requires_failover i.Explore.Exec.preset)
-        ~duration_s ~seed:i.Explore.Exec.seed ()
-    in
-    Digest.to_hex (Digest.string run.Chaos.Audit.trace)
+    Digest.to_hex
+      (Digest.string (Explore.Exec.audit base_in).Chaos.Audit.trace)
   in
   let off = Explore.Exec.run base_in in
   let off_identical =

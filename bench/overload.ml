@@ -132,8 +132,8 @@ let ramp_deadline_us = 25_000
 
 let ramp_protection =
   {
-    Harness.flow_default with
-    Harness.fl_admission =
+    Chaos.Driver.flow_default with
+    Chaos.Driver.fl_admission =
       Some { Sim.Station.max_queue = 256; max_sojourn_us = 8_000 };
     fl_drop_expired = true;
     fl_budget = Some (64, 2_000);
@@ -197,8 +197,8 @@ let hedge_run ~fanout ~duration_s ~seed =
   in
   let flow =
     {
-      Harness.flow_default with
-      Harness.fl_gryff_fanout = Some fanout;
+      Chaos.Driver.flow_default with
+      Chaos.Driver.fl_gryff_fanout = Some fanout;
       fl_hedge_us = hedge_us;
     }
   in

@@ -68,10 +68,16 @@ let pct rec_ p =
 let measure ~name ~reshard ~theta ~n_keys ~rate ~duration_s ~seed =
   let t0 = Sys.time () in
   let r =
-    Harness.spanner_wan
-      ~env:Harness.Env.(default |> with_check `Online |> with_reshard reshard)
-      ~mode:Spanner.Config.Rss ~theta ~n_keys ~arrival_rate_per_sec:rate
-      ~duration_s ~seed ()
+    Chaos.Driver.spanner
+      {
+        (Chaos.Driver.spanner_deployment
+           (Spanner.Config.wan3 ~mode:Spanner.Config.Rss ())
+           ~theta ~n_keys) with
+        Chaos.Driver.sp_reshard = reshard;
+      }
+      (Chaos.Driver.Partly_open { rate; stay = 0.9 })
+      Harness.Env.(default |> with_check `Online)
+      ~duration_s ~seed
   in
   let cpu_s = Sys.time () -. t0 in
   let c = Harness.Run.counter r in
@@ -165,7 +171,7 @@ let () =
   let spec no_fence =
     [
       {
-        Harness.rs_at = 0.45;
+        Chaos.Driver.rs_at = 0.45;
         rs_lo = 0;
         rs_hi = hot_hi;
         rs_dst = 1;

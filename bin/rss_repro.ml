@@ -208,7 +208,7 @@ let spanner_cmd =
           (Fmt.epr "error: --reshard-dst must be non-negative@."; exit 1);
         [
           {
-            Harness.rs_at = frac;
+            Chaos.Driver.rs_at = frac;
             rs_lo = lo;
             rs_hi = hi;
             rs_dst = reshard_dst;
@@ -220,24 +220,27 @@ let spanner_cmd =
     let env =
       Harness.Env.(
         default |> with_trace tracer |> with_check check
-        |> with_reshard reshard_specs
         |> with_batching (batching_of ~batch_us ~batch_max ~batch_adaptive)
         |> with_deadline_us (deadline_us_of deadline_us))
     in
     let r =
-      Harness.spanner_wan ~env ~mode ~theta ~n_keys:keys
-        ~arrival_rate_per_sec:rate ~duration_s:duration ~seed ()
+      Chaos.Driver.spanner
+        {
+          (Chaos.Driver.spanner_deployment (Spanner.Config.wan3 ~mode ())
+             ~theta ~n_keys:keys) with
+          Chaos.Driver.sp_reshard = reshard_specs;
+        }
+        (Chaos.Driver.Partly_open { rate; stay = 0.9 })
+        env ~duration_s:duration ~seed
     in
     Harness.Run.print_latencies ~header:"latency (ms)" r;
     Harness.Run.print_metrics ~header:"spanner" r;
-    (match r.Harness.Run.check with
-    | Harness.Run.Pass ->
-      Fmt.pr "history: verified (%s)@."
+    Harness.Run.print_history
+      ~model:
         (match mode with
         | Spanner.Config.Strict -> "strict serializability"
         | Spanner.Config.Rss -> "RSS")
-    | Harness.Run.Fail m -> Fmt.pr "history: VIOLATION — %s@." m
-    | Harness.Run.Unknown m -> Fmt.pr "history: verdict UNKNOWN — %s@." m);
+      r.Harness.Run.check;
     save_trace tracer trace_out;
     match export with
     | None -> ()
@@ -311,10 +314,7 @@ let gryff_cmd =
     in
     Harness.Run.print_latencies ~header:"latency (ms)" r;
     Harness.Run.print_metrics ~header:"gryff" r;
-    (match r.Harness.Run.check with
-    | Harness.Run.Pass -> Fmt.pr "history: verified@."
-    | Harness.Run.Fail m -> Fmt.pr "history: VIOLATION — %s@." m
-    | Harness.Run.Unknown m -> Fmt.pr "history: verdict UNKNOWN — %s@." m);
+    Harness.Run.print_history r.Harness.Run.check;
     save_trace tracer trace_out
   in
   Cmd.v
@@ -429,22 +429,21 @@ let check_trace_cmd =
        ~doc:"Check a saved transactional trace against a model.")
     Term.(const run $ path $ model $ budget)
 
+(* --protocol, one of the four audited protocols, default spanner-rss. *)
+let protocol_arg ~verb =
+  Arg.(
+    value
+    & opt
+        (enum
+           (List.map
+              (fun p -> (Chaos.Audit.protocol_name p, p))
+              Chaos.Audit.protocols))
+        Chaos.Audit.Spanner_rss
+    & info [ "protocol" ]
+        ~doc:(verb ^ ": spanner, spanner-rss, gryff, or gryff-rsc."))
+
 let trace_cmd =
-  let protocol =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("spanner", `Spanner);
-               ("spanner-rss", `Spanner_rss);
-               ("gryff", `Gryff);
-               ("gryff-rsc", `Gryff_rsc);
-             ])
-          `Spanner_rss
-      & info [ "protocol" ]
-          ~doc:"Protocol to trace: spanner, spanner-rss, gryff, or gryff-rsc.")
-  in
+  let protocol = protocol_arg ~verb:"Protocol to trace" in
   let duration =
     Arg.(value & opt float 2.0 & info [ "duration" ] ~doc:"Simulated seconds.")
   in
@@ -481,22 +480,24 @@ let trace_cmd =
         default |> with_trace tracer
         |> with_batching (batching_of ~batch_us ~batch_max ~batch_adaptive))
     in
-    let header, r =
+    let r =
       match protocol with
-      | (`Spanner | `Spanner_rss) as p ->
+      | Chaos.Audit.Spanner_strict | Chaos.Audit.Spanner_rss ->
         let mode =
-          if p = `Spanner then Spanner.Config.Strict else Spanner.Config.Rss
+          if protocol = Chaos.Audit.Spanner_strict then Spanner.Config.Strict
+          else Spanner.Config.Rss
         in
-        ( (if p = `Spanner then "spanner" else "spanner-rss"),
-          Harness.spanner_wan ~env ~mode ~theta:0.75 ~n_keys:100_000
-            ~arrival_rate_per_sec:rate ~duration_s:duration ~seed () )
-      | (`Gryff | `Gryff_rsc) as p ->
-        let mode = if p = `Gryff then Gryff.Config.Lin else Gryff.Config.Rsc in
-        ( (if p = `Gryff then "gryff" else "gryff-rsc"),
-          Harness.gryff_wan ~env ~n_clients:4 ~mode ~conflict:0.1
-            ~write_ratio:0.3 ~n_keys:100_000 ~duration_s:duration ~seed () )
+        Harness.spanner_wan ~env ~mode ~theta:0.75 ~n_keys:100_000
+          ~arrival_rate_per_sec:rate ~duration_s:duration ~seed ()
+      | Chaos.Audit.Gryff_lin | Chaos.Audit.Gryff_rsc ->
+        let mode =
+          if protocol = Chaos.Audit.Gryff_lin then Gryff.Config.Lin
+          else Gryff.Config.Rsc
+        in
+        Harness.gryff_wan ~env ~n_clients:4 ~mode ~conflict:0.1
+          ~write_ratio:0.3 ~n_keys:100_000 ~duration_s:duration ~seed ()
     in
-    Harness.Run.print_summary ~header r;
+    Harness.Run.print_summary ~header:(Chaos.Audit.protocol_name protocol) r;
     Obs.Trace.save_chrome tracer ~path:out;
     Fmt.pr "trace: %d spans written to %s@." (Obs.Trace.n_spans tracer) out;
     (match binary_out with
@@ -517,18 +518,7 @@ let trace_cmd =
       $ batch_us_arg $ batch_max_arg $ batch_adaptive_arg)
 
 let chaos_cmd =
-  let protocol =
-    Arg.(
-      value
-      & opt
-          (enum
-             (List.map
-                (fun p -> (Chaos.Audit.protocol_name p, p))
-                Chaos.Audit.protocols))
-          Chaos.Audit.Spanner_rss
-      & info [ "protocol" ]
-          ~doc:"Protocol to audit: spanner, spanner-rss, gryff, or gryff-rsc.")
-  in
+  let protocol = protocol_arg ~verb:"Protocol to audit" in
   let nemesis =
     Arg.(
       value
@@ -608,16 +598,6 @@ let chaos_cmd =
     let failover = failover || Chaos.Nemesis.requires_failover nemesis in
     let nseed = Option.value nemesis_seed ~default:seed in
     let disk_faults =
-      let scale r (s : Sim.Durable.Faults.spec) =
-        let p x = min 1.0 (x *. r) in
-        {
-          s with
-          Sim.Durable.Faults.tear_prob = p s.Sim.Durable.Faults.tear_prob;
-          corrupt_prob = p s.Sim.Durable.Faults.corrupt_prob;
-          stale_prob = p s.Sim.Durable.Faults.stale_prob;
-          lost_int_prob = p s.Sim.Durable.Faults.lost_int_prob;
-        }
-      in
       let tuned = Chaos.Nemesis.disk_spec nemesis in
       match disk_fault_rate with
       | Some r when r < 0.0 ->
@@ -628,7 +608,10 @@ let chaos_cmd =
         let base =
           match tuned with Some s -> s | None -> Sim.Durable.Faults.default_spec
         in
-        Some (Chaos.Audit.default_disk_faults ~spec:(scale r base) ~seed:nseed ())
+        Some
+          (Chaos.Audit.default_disk_faults
+             ~spec:(Sim.Durable.Faults.scale r base)
+             ~seed:nseed ())
       | None -> (
         match tuned with
         | Some s -> Some (Chaos.Audit.default_disk_faults ~spec:s ~seed:nseed ())
@@ -654,9 +637,9 @@ let chaos_cmd =
     save_trace tracer trace_out;
     match (r.Chaos.Audit.check, Chaos.Audit.liveness_ok r) with
     | Ok (), true ->
-      if r.Chaos.Audit.unrepaired > 0 then begin
-        Fmt.epr "error: %d members still quarantined at run end@."
-          r.Chaos.Audit.unrepaired;
+      let unrepaired = Chaos.Audit.counter r "durable.repair.unrepaired" in
+      if unrepaired > 0 then begin
+        Fmt.epr "error: %d members still quarantined at run end@." unrepaired;
         exit 4
       end
     | Error _, _ -> exit 2

@@ -39,55 +39,14 @@ let nemesis_schedule protocol preset ~duration_s ~seed =
     ~epsilon_us:(protocol_epsilon_us protocol)
     ~duration_us:(Sim.Engine.sec duration_s) ~seed ()
 
-(* ------------------------------------------------------------------ *)
-(* Storage fault injection                                             *)
-(* ------------------------------------------------------------------ *)
-
-type disk_faults = {
+type disk_faults = Driver.disk_faults = {
   df_spec : Sim.Durable.Faults.spec;
   df_seed : int;
   df_scrub_period_us : int;
   df_integrity : bool;
 }
 
-let default_disk_faults ?spec ~seed () =
-  {
-    df_spec =
-      (match spec with Some s -> s | None -> Sim.Durable.Faults.default_spec);
-    df_seed = seed;
-    df_scrub_period_us = 250_000;
-    df_integrity = true;
-  }
-
-let zero_disk_stats =
-  {
-    Sim.Durable.Faults.fs_torn = 0;
-    fs_corrupt = 0;
-    fs_resurfaced = 0;
-    fs_lost_ints = 0;
-    fs_crashes = 0;
-  }
-
-(* Install the control before the cluster exists — stores register with the
-   ambient control at creation time. *)
-let install_disk_faults = function
-  | None -> None
-  | Some df ->
-    Some
-      (Sim.Durable.Faults.install ~spec:df.df_spec ~integrity:df.df_integrity
-         ~seed:df.df_seed ())
-
-(* Arm the background scrub pass: one store verified per period, the scan
-   costed on its own station so it competes for simulated CPU. *)
-let arm_scrub engine ~tracer ~dctl ~disk_faults ~duration_s =
-  match (dctl, disk_faults) with
-  | Some ctl, Some df when df.df_scrub_period_us > 0 ->
-    let station = Sim.Station.create engine ~service_time_us:40 in
-    Some
-      (Sim.Scrub.start engine ~station ~ctl ~tracer
-         ~period_us:df.df_scrub_period_us
-         ~until_us:(Sim.Engine.sec duration_s) ())
-  | _ -> None
+let default_disk_faults = Driver.default_disk_faults
 
 (* The raw per-protocol history, exposed so callers (the schedule explorer
    in particular) can re-judge a run with [Rss_core.Check_online] or other
@@ -102,153 +61,21 @@ type run = {
   records : records;
   stale_control : unit -> (unit, string) result option;
   trace : string;
-  history_len : int;
+  metrics : Obs.Metrics.snapshot;
   ops_completed : int;
   ops_timed_out : int;
-  timed_out_by_kind : (string * int) list;
-  post_quiet_completed : int;
-  post_quiet_timed_out : int;
-  aborted_attempts : int;
-  unacked_commits : int;
-  faults_injected : int;
   msgs_sent : int;
-  dropped_crash : int;
-  dropped_partition : int;
-  dropped_loss : int;
-  duplicated : int;
-  delayed : int;
-  latency : Stats.Recorder.t;
   duration_us : int;
   view_changes : int;
-  rpc_retries : int;
-  in_doubt_resolved : int;
-  max_election_us : int;
-  migrations : int;
-  migration_retries : int;
-  redirects : int;
-  disk_torn : int;
-  disk_corrupt : int;
-  disk_resurfaced : int;
-  disk_lost_ints : int;
-  disk_crashes : int;
-  scrub_passes : int;
-  scrub_entries : int;
-  scrub_flagged : int;
-  repairs_torn : int;
-  repairs_quarantined : int;
-  repairs_peer : int;
-  place_repairs : int;
-  unrepaired : int;
+  aborted_attempts : int;
 }
 
-(* Drive [n_slots] session slots against [issue_op]. Each slot runs one
-   session at a time; an operation that misses [timeout_us] abandons the
-   session (its process id is never reused, so session-order checking stays
-   sound) and a fresh session takes the slot. [quiet_us] is when the
-   schedule's cleanup fires — completions of ops invoked after it prove
-   liveness resumed. *)
-type slot_stats = {
-  mutable completed : int;
-  mutable timed_out : int;
-  mutable post_quiet_completed : int;
-  mutable post_quiet_timed_out : int;
-  timed_out_kinds : (string, int) Hashtbl.t;
-      (* which op kinds the timeouts hit (ro/rw for Spanner,
-         read/write/rmw for Gryff) — a schedule that only starves one kind
-         (e.g. ROs stuck behind a gray leader) shows up here, where the
-         aggregate hides it *)
-}
+let counter r name = Obs.Metrics.counter_value r.metrics name
 
-let timed_out_by_kind stats =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) stats.timed_out_kinds []
-  |> List.sort compare
-
-let drive_slots engine ~n_slots ~until ~timeout_us ~quiet_us ~latency
-    ~(new_session : int -> 'c)
-    ~(issue_op : 'c -> kind:(string -> unit) -> finish:(unit -> unit) -> unit) =
-  let stats =
-    { completed = 0; timed_out = 0; post_quiet_completed = 0;
-      post_quiet_timed_out = 0; timed_out_kinds = Hashtbl.create 8 }
-  in
-  let gen = Array.make n_slots 0 in
-  let slot_kind = Array.make n_slots "?" in
-  let rec start_session slot =
-    if Sim.Engine.now engine < until then run_op slot (new_session slot)
-  and run_op slot session =
-    let g = gen.(slot) in
-    let t0 = Sim.Engine.now engine in
-    let finished = ref false in
-    Sim.Engine.schedule engine ~after:timeout_us (fun () ->
-        if (not !finished) && gen.(slot) = g then begin
-          stats.timed_out <- stats.timed_out + 1;
-          (let k = slot_kind.(slot) in
-           let prev = try Hashtbl.find stats.timed_out_kinds k with Not_found -> 0 in
-           Hashtbl.replace stats.timed_out_kinds k (prev + 1));
-          if t0 >= quiet_us then
-            stats.post_quiet_timed_out <- stats.post_quiet_timed_out + 1;
-          gen.(slot) <- g + 1;
-          start_session slot
-        end);
-    issue_op session
-      ~kind:(fun k -> slot_kind.(slot) <- k)
-      ~finish:(fun () ->
-        finished := true;
-        if gen.(slot) = g then begin
-          stats.completed <- stats.completed + 1;
-          Stats.Recorder.add latency (Sim.Engine.now engine - t0);
-          if t0 >= quiet_us then
-            stats.post_quiet_completed <- stats.post_quiet_completed + 1;
-          if Sim.Engine.now engine < until then run_op slot session
-        end)
-  in
-  for slot = 0 to n_slots - 1 do
-    start_session slot
-  done;
-  stats
+module W = Rss_core.Witness
 
 (* ------------------------------------------------------------------ *)
-(* Sweeps for operations whose acknowledgement a fault swallowed        *)
-(* ------------------------------------------------------------------ *)
-
-let key_name = string_of_int
-
-(* If attempt [txn] committed, its writes are visible at the shards even
-   though the client never heard back — record it as incomplete
-   (resp = max_int: no real-time obligations, reads not checked), exactly
-   how complete(α) treats a stopped client. Returns whether recorded. *)
-let sweep_spanner_txn cluster ~proc ~inv ~writes ~txn =
-  match Spanner.Cluster.txn_outcome cluster txn with
-  | Some (Spanner.Types.Committed tc) ->
-    Spanner.Cluster.record cluster
-      {
-        Rss_core.Witness.proc;
-        reads = [];
-        writes = List.map (fun (k, v) -> (key_name k, v)) writes;
-        inv;
-        resp = max_int;
-        ts = tc;
-        rank = 0;
-      };
-    true
-  | Some Spanner.Types.Aborted | None -> false
-
-(* A Gryff write whose propagate phase started may sit at some replicas and
-   be observed even though the acks never came back — same convention. *)
-let sweep_gryff_write cluster ~proc ~inv ~key ~value ~cs =
-  Gryff.Cluster.record cluster
-    {
-      Gryff.Cluster.g_proc = proc;
-      g_kind = Gryff.Cluster.Write;
-      g_key = key;
-      g_observed = None;
-      g_written = Some value;
-      g_cs = cs;
-      g_inv = inv;
-      g_resp = max_int;
-    }
-
-(* ------------------------------------------------------------------ *)
-(* Spanner / Spanner-RSS                                               *)
+(* Canonical traces and stale-read controls                            *)
 (* ------------------------------------------------------------------ *)
 
 let spanner_trace records =
@@ -265,255 +92,6 @@ let spanner_trace records =
            w.Rss_core.Witness.writes))
     records;
   Buffer.contents buf
-
-(* Corrupt one read to the key's previous version and re-check: the audit's
-   "control" proving the checker catches stale reads. *)
-let spanner_stale_control ~mode records =
-  let records = Array.copy records in
-  let writes_by_key : (string, (int * int) list) Hashtbl.t = Hashtbl.create 256 in
-  Array.iter
-    (fun (w : Rss_core.Witness.txn) ->
-      List.iter
-        (fun (k, v) ->
-          let prev = try Hashtbl.find writes_by_key k with Not_found -> [] in
-          Hashtbl.replace writes_by_key k ((w.Rss_core.Witness.ts, v) :: prev))
-        w.Rss_core.Witness.writes)
-    records;
-  let prev_version k v =
-    match Hashtbl.find_opt writes_by_key k with
-    | None -> None
-    | Some ws -> (
-      let ws = List.sort compare ws in
-      let rec walk prev = function
-        | (_, v') :: _ when v' = v -> prev
-        | (_, v') :: rest -> walk (Some v') rest
-        | [] -> None
-      in
-      match walk None ws with
-      | Some v' when v' <> v -> Some v'
-      | _ -> None)
-  in
-  (* A value no transaction ever wrote — corrupting a read to it is illegal
-     in any serialization, the fallback when no older version exists. *)
-  let phantom =
-    1
-    + Array.fold_left
-        (fun acc (w : Rss_core.Witness.txn) ->
-          List.fold_left (fun acc (_, v) -> max acc v) acc w.Rss_core.Witness.writes)
-        0 records
-  in
-  let corrupt k ov =
-    match ov with
-    | Some v -> (
-      match prev_version k v with Some stale -> Some stale | None -> Some phantom)
-    | None -> Some phantom
-  in
-  let exception Found of int * (string * int option) list in
-  try
-    Array.iteri
-      (fun i (w : Rss_core.Witness.txn) ->
-        if w.Rss_core.Witness.resp <> max_int then
-          match w.Rss_core.Witness.reads with
-          | (k, ov) :: rest -> raise (Found (i, (k, corrupt k ov) :: rest))
-          | [] -> ())
-      records;
-    None
-  with Found (i, reads) ->
-    records.(i) <- { (records.(i)) with Rss_core.Witness.reads };
-    Some (Rss_core.Witness.check ~mode records)
-
-type pending_rw = {
-  pr_proc : int;
-  pr_inv : int;
-  pr_writes : (int * int) list;
-  mutable pr_last_txn : int;
-  mutable pr_done : bool;
-}
-
-let spanner ?config ?(tracer = Obs.Trace.disabled) ?prepare ~mode ~schedule
-    ?disk_faults ?(n_slots = 12) ?(theta = 0.5) ?(n_keys = 5_000)
-    ?(timeout_us = 2_000_000) ?(failover = false) ?(n_migrations = 0)
-    ~duration_s ~seed () =
-  let engine = Sim.Engine.create () in
-  let rng = Sim.Rng.make seed in
-  let dctl = install_disk_faults disk_faults in
-  Fun.protect ~finally:(fun () -> Option.iter Sim.Durable.Faults.retire dctl)
-  @@ fun () ->
-  let config = match config with Some c -> c | None -> Spanner.Config.wan3 ~mode () in
-  let cluster = Spanner.Cluster.create engine ~rng config in
-  (match prepare with
-  | Some f -> f engine (Spanner.Cluster.net cluster)
-  | None -> ());
-  if Obs.Trace.enabled tracer then Spanner.Cluster.set_tracer cluster tracer;
-  if failover then
-    (* A dedicated seeded stream for retry jitter: the workload stream stays
-       untouched, and the failover timers stop at the horizon so the engine
-       queue still drains. *)
-    Spanner.Cluster.enable_failover cluster
-      ~rng:(Sim.Rng.make (0xfa11 + seed))
-      ~until_us:(Sim.Engine.sec duration_s + Sim.Engine.sec 4.0)
-      ();
-  let deadline_us = if failover then Some (timeout_us - 200_000) else None in
-  let faults = ref 0 in
-  (* Wherever the nemesis crashes a site, the same event damages the site's
-     durable stores; when the directory replica's site recovers, its
-     assignment log is re-verified and healed from the overlay. *)
-  let on_disk_fault (ev : Schedule.event) =
-    match dctl with
-    | None -> ()
-    | Some ctl -> (
-      match ev.Schedule.fault with
-      | Schedule.Crash ss ->
-        List.iter (Sim.Durable.Faults.crash_site ctl) ss
-      | Schedule.Recover ss when List.mem 0 ss ->
-        ignore (Place.Directory.recover (Spanner.Cluster.directory cluster))
-      | _ -> ())
-  in
-  ignore
-    (Schedule.apply schedule ~engine ~net:(Spanner.Cluster.net cluster)
-       ~tt:(Spanner.Cluster.truetime cluster) ~tracer
-       ~on_fault:(fun ev ->
-         incr faults;
-         (* Gray failures live in the protocol deployment's stations, which
-            the network-level injector cannot see — apply them here, like
-            the Crash-coupled disk damage below. *)
-         (match ev.Schedule.fault with
-         | Schedule.Slow { site; factor } ->
-           Spanner.Cluster.set_site_slowdown cluster ~site ~factor
-         | Schedule.Slow_clear -> Spanner.Cluster.clear_slowdowns cluster
-         | _ -> ());
-         on_disk_fault ev)
-       ());
-  let scrub_stats = arm_scrub engine ~tracer ~dctl ~disk_faults ~duration_s in
-  let retwis = Workload.Retwis.create ~rng:(Sim.Rng.split rng) ~n_keys ~theta in
-  let until = Sim.Engine.sec duration_s in
-  (* Live migrations of the Zipfian head — the hottest eighth of the
-     keyspace — spread over the run, each to a different destination shard.
-     Scheduling them here (not in the nemesis) keeps Schedule.t purely about
-     network/clock faults. *)
-  let n_shards = config.Spanner.Config.n_shards in
-  for i = 0 to n_migrations - 1 do
-    let at =
-      int_of_float ((0.30 +. (0.25 *. float_of_int i)) *. float_of_int until)
-    in
-    let dst = (i + 1) mod n_shards in
-    Sim.Engine.schedule engine ~kind:"chaos.migrate" ~after:at (fun () ->
-        Spanner.Cluster.migrate cluster ~lo:0 ~hi:(max 1 (n_keys / 8)) ~dst
-          (fun _ -> ()))
-  done;
-  let quiet_us = Schedule.end_of_faults schedule in
-  let latency = Stats.Recorder.create () in
-  let pending : pending_rw list ref = ref [] in
-  let client_sites = config.Spanner.Config.client_sites in
-  let n_sites = Array.length client_sites in
-  let stats =
-    drive_slots engine ~n_slots ~until ~timeout_us ~quiet_us ~latency
-      ~new_session:(fun slot ->
-        Spanner.Client.create cluster ~site:client_sites.(slot mod n_sites))
-      ~issue_op:(fun c ~kind ~finish ->
-        let txn = Workload.Retwis.sample retwis in
-        if Workload.Retwis.is_read_only txn then begin
-          kind "ro";
-          Spanner.Client.ro ?deadline_us c ~keys:txn.Workload.Retwis.read_keys
-            (fun _ -> finish ())
-        end
-        else begin
-          kind "rw";
-          let writes =
-            List.map
-              (fun key -> (key, Spanner.Cluster.fresh_value cluster))
-              txn.Workload.Retwis.write_keys
-          in
-          let info =
-            {
-              pr_proc = Spanner.Client.proc c;
-              pr_inv = Sim.Engine.now engine;
-              pr_writes = writes;
-              pr_last_txn = -1;
-              pr_done = false;
-            }
-          in
-          pending := info :: !pending;
-          Spanner.Client.rw_kv ?deadline_us c
-            ~on_attempt:(fun id -> info.pr_last_txn <- id)
-            ~read_keys:txn.Workload.Retwis.read_keys ~writes
-            (fun _ ->
-              info.pr_done <- true;
-              finish ())
-        end)
-  in
-  Sim.Engine.run ~max_events:600_000_000 engine;
-  (* Sweep committed-but-unacknowledged transactions into the history: their
-     writes are visible at the shards, so the witness must know about them.
-     resp = max_int marks them incomplete (no real-time obligations, reads
-     not checked) — exactly how complete(α) treats a stopped client. *)
-  let unacked = ref 0 in
-  List.iter
-    (fun info ->
-      if (not info.pr_done) && info.pr_last_txn >= 0 then
-        if
-          sweep_spanner_txn cluster ~proc:info.pr_proc ~inv:info.pr_inv
-            ~writes:info.pr_writes ~txn:info.pr_last_txn
-        then incr unacked)
-    (List.rev !pending);
-  let records = Spanner.Cluster.records cluster in
-  let net = Spanner.Cluster.net cluster in
-  let fstats = Spanner.Cluster.failover_stats cluster in
-  let pstats = Spanner.Cluster.place_stats cluster in
-  let dstats =
-    match dctl with
-    | Some ctl -> Sim.Durable.Faults.stats ctl
-    | None -> zero_disk_stats
-  in
-  let wmode = match mode with Spanner.Config.Strict -> `Strict | Spanner.Config.Rss -> `Rss in
-  {
-    protocol = (match mode with Spanner.Config.Strict -> Spanner_strict | Spanner.Config.Rss -> Spanner_rss);
-    check = Spanner.Cluster.check_history cluster;
-    records = Spanner_records records;
-    stale_control = (fun () -> spanner_stale_control ~mode:wmode records);
-    trace = spanner_trace records;
-    history_len = Array.length records;
-    ops_completed = stats.completed;
-    ops_timed_out = stats.timed_out;
-    timed_out_by_kind = timed_out_by_kind stats;
-    post_quiet_completed = stats.post_quiet_completed;
-    post_quiet_timed_out = stats.post_quiet_timed_out;
-    aborted_attempts = (Spanner.Cluster.ctx cluster).Spanner.Protocol.n_rw_aborted_attempts;
-    unacked_commits = !unacked;
-    faults_injected = !faults;
-    msgs_sent = Sim.Net.messages_sent net;
-    dropped_crash = Sim.Net.dropped_crash net;
-    dropped_partition = Sim.Net.dropped_partition net;
-    dropped_loss = Sim.Net.dropped_loss net;
-    duplicated = Sim.Net.messages_duplicated net;
-    delayed = Sim.Net.messages_delayed net;
-    latency;
-    duration_us = Sim.Engine.now engine;
-    view_changes = fstats.Spanner.Cluster.view_changes;
-    rpc_retries = fstats.Spanner.Cluster.rpc_retries;
-    in_doubt_resolved = fstats.Spanner.Cluster.in_doubt_resolved;
-    max_election_us = fstats.Spanner.Cluster.max_election_us;
-    migrations = pstats.Spanner.Cluster.migrations;
-    migration_retries = pstats.Spanner.Cluster.migration_retries;
-    redirects = pstats.Spanner.Cluster.redirects;
-    disk_torn = dstats.Sim.Durable.Faults.fs_torn;
-    disk_corrupt = dstats.Sim.Durable.Faults.fs_corrupt;
-    disk_resurfaced = dstats.Sim.Durable.Faults.fs_resurfaced;
-    disk_lost_ints = dstats.Sim.Durable.Faults.fs_lost_ints;
-    disk_crashes = dstats.Sim.Durable.Faults.fs_crashes;
-    scrub_passes = (match scrub_stats with Some s -> s.Sim.Scrub.passes | None -> 0);
-    scrub_entries = (match scrub_stats with Some s -> s.Sim.Scrub.entries | None -> 0);
-    scrub_flagged = (match scrub_stats with Some s -> s.Sim.Scrub.flagged | None -> 0);
-    repairs_torn = fstats.Spanner.Cluster.torn_repaired;
-    repairs_quarantined = fstats.Spanner.Cluster.corrupt_quarantined;
-    repairs_peer = fstats.Spanner.Cluster.peer_repairs;
-    place_repairs = Place.Directory.repairs (Spanner.Cluster.directory cluster);
-    unrepaired = fstats.Spanner.Cluster.unrepaired;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Gryff / Gryff-RSC                                                   *)
-(* ------------------------------------------------------------------ *)
 
 let gryff_trace records =
   let buf = Buffer.create 4096 in
@@ -534,302 +112,203 @@ let gryff_trace records =
     records;
   Buffer.contents buf
 
-let gryff_stale_control cluster records =
-  let records = Array.copy records in
-  let writes_by_key : (int, (Gryff.Carstamp.t * int) list) Hashtbl.t =
-    Hashtbl.create 256
-  in
+(* The audit's control proving the checker has teeth: corrupt the first
+   read [read] exposes (an acknowledged op's, as [(key, observed)]) to the
+   version written just before the one it saw — or, when there is none, to
+   a value nobody wrote, illegal in any serialization — and re-check with
+   [check]. [writes] lists an op's [(key, order, value)] writes; [order]
+   ranks versions of a key. *)
+let stale_control ~writes ~order ~read ~corrupt ~check records =
+  let by_key = Hashtbl.create 256 in
   Array.iter
-    (fun (r : Gryff.Cluster.record) ->
-      match r.Gryff.Cluster.g_written with
-      | Some v ->
-        let k = r.Gryff.Cluster.g_key in
-        let prev = try Hashtbl.find writes_by_key k with Not_found -> [] in
-        Hashtbl.replace writes_by_key k ((r.Gryff.Cluster.g_cs, v) :: prev)
-      | None -> ())
+    (fun r ->
+      List.iter
+        (fun (k, o, v) ->
+          let prev = Option.value (Hashtbl.find_opt by_key k) ~default:[] in
+          Hashtbl.replace by_key k ((o, v) :: prev))
+        (writes r))
     records;
-  let prev_version k v =
-    match Hashtbl.find_opt writes_by_key k with
-    | None -> None
-    | Some ws -> (
-      let ws =
-        List.sort (fun (a, _) (b, _) -> Gryff.Carstamp.compare a b) ws
-      in
+  let phantom =
+    1
+    + Hashtbl.fold
+        (fun _ ws acc -> List.fold_left (fun acc (_, v) -> max acc v) acc ws)
+        by_key 0
+  in
+  let stale k = function
+    | None -> phantom
+    | Some v ->
       let rec walk prev = function
         | (_, v') :: _ when v' = v -> prev
         | (_, v') :: rest -> walk (Some v') rest
         | [] -> None
       in
-      match walk None ws with Some v' when v' <> v -> Some v' | _ -> None)
+      let ws = Option.value (Hashtbl.find_opt by_key k) ~default:[] in
+      match walk None (List.stable_sort (fun (a, _) (b, _) -> order a b) ws) with
+      | Some v' when v' <> v -> v'
+      | _ -> phantom
   in
-  let phantom =
-    1
-    + Array.fold_left
-        (fun acc (r : Gryff.Cluster.record) ->
-          match r.Gryff.Cluster.g_written with Some v -> max acc v | None -> acc)
-        0 records
+  let rec first i =
+    if i = Array.length records then None
+    else
+      match read records.(i) with
+      | Some (k, ov) ->
+        let records = Array.copy records in
+        records.(i) <- corrupt records.(i) (stale k ov);
+        Some (check records)
+      | None -> first (i + 1)
   in
-  let exception Found of int * int in
-  try
-    Array.iteri
-      (fun i (r : Gryff.Cluster.record) ->
-        if r.Gryff.Cluster.g_kind = Gryff.Cluster.Read && r.Gryff.Cluster.g_resp <> max_int
-        then
-          match r.Gryff.Cluster.g_observed with
-          | Some v -> (
-            match prev_version r.Gryff.Cluster.g_key v with
-            | Some stale -> raise (Found (i, stale))
-            | None -> raise (Found (i, phantom)))
-          | None -> raise (Found (i, phantom)))
-      records;
-    None
-  with Found (i, stale) ->
-    records.(i) <- { (records.(i)) with Gryff.Cluster.g_observed = Some stale };
-    Some (Gryff.Cluster.check_history_of cluster (Array.to_list records))
+  first 0
 
-type pending_write = {
-  pw_proc : int;
-  pw_inv : int;
-  pw_key : int;
-  pw_value : int;
-  mutable pw_cs : Gryff.Carstamp.t option;
-  mutable pw_done : bool;
-}
+let spanner_stale_control ~mode =
+  stale_control
+    ~writes:(fun (w : W.txn) -> List.map (fun (k, v) -> (k, w.W.ts, v)) w.W.writes)
+    ~order:Int.compare
+    ~read:(fun (w : W.txn) ->
+      match w.W.reads with
+      | r :: _ when w.W.resp <> max_int -> Some r
+      | _ -> None)
+    ~corrupt:(fun (w : W.txn) v ->
+      { w with W.reads = (fst (List.hd w.W.reads), Some v) :: List.tl w.W.reads })
+    ~check:(W.check ~mode)
 
-let gryff ?config ?client_sites ?(tracer = Obs.Trace.disabled) ?prepare ~mode
-    ~schedule ?disk_faults ?(n_slots = 10) ?(write_ratio = 0.3) ?(conflict = 0.1)
-    ?(n_keys = 2_000) ?(timeout_us = 2_000_000) ?(unsafe_no_deps = false)
-    ?(failover = false) ~duration_s ~seed () =
-  let engine = Sim.Engine.create () in
-  let rng = Sim.Rng.make seed in
-  (* Gryff keeps no durable stores, so the control registers nothing and
-     every disk counter stays zero — but accepting the spec keeps the
-     battery uniform across protocols. *)
-  let dctl = install_disk_faults disk_faults in
-  Fun.protect ~finally:(fun () -> Option.iter Sim.Durable.Faults.retire dctl)
-  @@ fun () ->
-  let config = match config with Some c -> c | None -> Gryff.Config.wan5 ~mode () in
-  let cluster = Gryff.Cluster.create engine ~rng config in
-  (match prepare with
-  | Some f -> f engine (Gryff.Cluster.net cluster)
-  | None -> ());
-  if Obs.Trace.enabled tracer then Gryff.Cluster.set_tracer cluster tracer;
-  if failover then
-    Gryff.Cluster.enable_retrans cluster ~rng:(Sim.Rng.make (0xfa11 + seed)) ();
-  let faults = ref 0 in
-  ignore
-    (Schedule.apply schedule ~engine ~net:(Gryff.Cluster.net cluster) ~tracer
-       ~on_fault:(fun ev ->
-         incr faults;
-         match (dctl, ev.Schedule.fault) with
-         | Some ctl, Schedule.Crash ss ->
-           List.iter (Sim.Durable.Faults.crash_site ctl) ss
-         | _, Schedule.Slow { site; factor } ->
-           Gryff.Cluster.set_site_slowdown cluster ~site ~factor
-         | _, Schedule.Slow_clear -> Gryff.Cluster.clear_slowdowns cluster
-         | _ -> ())
-       ());
-  let scrub_stats = arm_scrub engine ~tracer ~dctl ~disk_faults ~duration_s in
-  let ycsb =
-    Workload.Ycsb.create ~rng:(Sim.Rng.split rng) ~n_keys ~write_ratio ~conflict
+let gryff_stale_control ~mode =
+  let open Gryff.Cluster in
+  stale_control
+    ~writes:(fun r ->
+      match r.g_written with Some v -> [ (r.g_key, r.g_cs, v) ] | None -> [])
+    ~order:Gryff.Carstamp.compare
+    ~read:(fun r ->
+      if r.g_kind = Read && r.g_resp <> max_int then Some (r.g_key, r.g_observed)
+      else None)
+    ~corrupt:(fun r v -> { r with g_observed = Some v })
+    ~check:(fun rs -> check_records mode (Array.to_list rs))
+
+(* ------------------------------------------------------------------ *)
+(* Running an audit                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let of_run protocol (r : Driver.Run.t) =
+  let records =
+    match r.Driver.Run.records with
+    | Driver.Run.Spanner_txns a -> Spanner_records a
+    | Driver.Run.Gryff_ops a -> Gryff_records a
   in
-  let until = Sim.Engine.sec duration_s in
-  let quiet_us = Schedule.end_of_faults schedule in
-  let latency = Stats.Recorder.create () in
-  let pending : pending_write list ref = ref [] in
-  let next_val = ref 0 in
-  let client_sites =
-    match client_sites with
-    | Some a -> a
-    | None -> Array.init config.Gryff.Config.n_replicas (fun i -> i)
+  let counter = Driver.Run.counter r in
+  let m = r.Driver.Run.metrics in
+  let latency = Driver.Run.latency r "ops" in
+  {
+    protocol;
+    check =
+      (match r.Driver.Run.check with
+      | Driver.Run.Pass -> Ok ()
+      | Driver.Run.Fail e | Driver.Run.Unknown e -> Error e);
+    records;
+    stale_control =
+      (fun () ->
+        match (records, protocol) with
+        | Spanner_records a, Spanner_strict -> spanner_stale_control ~mode:`Strict a
+        | Spanner_records a, _ -> spanner_stale_control ~mode:`Rss a
+        | Gryff_records a, Gryff_lin -> gryff_stale_control ~mode:Gryff.Config.Lin a
+        | Gryff_records a, _ -> gryff_stale_control ~mode:Gryff.Config.Rsc a);
+    trace =
+      (match records with
+      | Spanner_records a -> spanner_trace a
+      | Gryff_records a -> gryff_trace a);
+    (* Gauges go: the only one an audit sets is the checker's wall time,
+       and the report must print the same bytes on every run. *)
+    metrics =
+      {
+        m with
+        Obs.Metrics.gauges = [];
+        histograms =
+          List.sort
+            (fun (a, _) (b, _) -> String.compare a b)
+            ((if Stats.Recorder.is_empty latency then []
+              else [ ("ops", latency) ])
+            @ m.Obs.Metrics.histograms);
+      };
+    ops_completed = counter "op.completed";
+    ops_timed_out = counter "op.timed_out";
+    msgs_sent = counter "net.messages";
+    duration_us = r.Driver.Run.duration_us;
+    view_changes = counter "failover.view_changes";
+    aborted_attempts = counter "rw.aborted_attempts";
+  }
+
+let run protocol ?(tracer = Obs.Trace.disabled) ?prepare ~schedule ?disk_faults
+    ?n_slots ?n_keys ?(timeout_us = 2_000_000) ?(conflict = 0.1)
+    ?(write_ratio = 0.3) ?(unsafe_no_deps = false) ?(failover = false)
+    ?(n_migrations = 0) ~duration_s ~seed () =
+  let env =
+    {
+      Driver.Env.default with
+      chaos = Some schedule;
+      disk_faults;
+      failover;
+      trace = tracer;
+    }
   in
-  let n_sites = Array.length client_sites in
-  let stats =
-    drive_slots engine ~n_slots ~until ~timeout_us ~quiet_us ~latency
-      ~new_session:(fun slot ->
-        Gryff.Client.create ~unsafe_no_deps cluster
-          ~site:client_sites.(slot mod n_sites))
-      ~issue_op:(fun c ~kind ~finish ->
-        let op = Workload.Ycsb.sample ycsb in
-        if op.Workload.Ycsb.is_write then begin
-          kind "write";
-          incr next_val;
-          let info =
+  let r =
+    match protocol with
+    | Spanner_strict | Spanner_rss ->
+      let mode =
+        if protocol = Spanner_strict then Spanner.Config.Strict
+        else Spanner.Config.Rss
+      in
+      let config = Spanner.Config.wan3 ~mode () in
+      let n_keys = Option.value n_keys ~default:5_000 in
+      (* Live migrations of the Zipfian head — the hottest eighth of the
+         keyspace — spread over the run, each to a different shard. *)
+      let reshard =
+        List.init n_migrations (fun i ->
             {
-              pw_proc = Gryff.Client.proc c;
-              pw_inv = Sim.Engine.now engine;
-              pw_key = op.Workload.Ycsb.key;
-              pw_value = !next_val;
-              pw_cs = None;
-              pw_done = false;
-            }
-          in
-          pending := info :: !pending;
-          Gryff.Client.write c
-            ~on_apply:(fun cs -> info.pw_cs <- Some cs)
-            ~key:op.Workload.Ycsb.key ~value:info.pw_value
-            (fun _ ->
-              info.pw_done <- true;
-              finish ())
-        end
-        else begin
-          kind "read";
-          Gryff.Client.read c ~key:op.Workload.Ycsb.key (fun _ -> finish ())
-        end)
+              Driver.rs_at = 0.30 +. (0.25 *. float_of_int i);
+              rs_lo = 0;
+              rs_hi = max 1 (n_keys / 8);
+              rs_dst = (i + 1) mod config.Spanner.Config.n_shards;
+              rs_no_fence = false;
+            })
+      in
+      Driver.spanner ?prepare
+        {
+          (Driver.spanner_deployment config ~theta:0.5 ~n_keys) with
+          Driver.sp_reshard = reshard;
+        }
+        (Driver.Slots { n_slots = Option.value n_slots ~default:12; timeout_us })
+        env ~duration_s ~seed
+    | Gryff_lin | Gryff_rsc ->
+      let mode =
+        if protocol = Gryff_lin then Gryff.Config.Lin else Gryff.Config.Rsc
+      in
+      Driver.gryff ?prepare
+        {
+          (Driver.gryff_deployment (Gryff.Config.wan5 ~mode ()) ~conflict
+             ~write_ratio
+             ~n_keys:(Option.value n_keys ~default:2_000)) with
+          Driver.gr_unsafe_no_deps = unsafe_no_deps;
+        }
+        (Driver.Slots { n_slots = Option.value n_slots ~default:10; timeout_us })
+        env ~duration_s ~seed
   in
-  Sim.Engine.run ~max_events:600_000_000 engine;
-  (* Sweep writes whose propagate phase started but whose acks never came
-     back: the value may sit at some replicas and be observed, so the
-     history must carry it (incomplete, resp = max_int). *)
-  let unacked = ref 0 in
-  List.iter
-    (fun info ->
-      match (info.pw_done, info.pw_cs) with
-      | false, Some cs ->
-        incr unacked;
-        sweep_gryff_write cluster ~proc:info.pw_proc ~inv:info.pw_inv
-          ~key:info.pw_key ~value:info.pw_value ~cs
-      | _ -> ())
-    (List.rev !pending);
-  let records = Gryff.Cluster.records cluster in
-  let net = Gryff.Cluster.net cluster in
-  {
-    protocol = (match mode with Gryff.Config.Lin -> Gryff_lin | Gryff.Config.Rsc -> Gryff_rsc);
-    check = Gryff.Cluster.check_history cluster;
-    records = Gryff_records records;
-    stale_control = (fun () -> gryff_stale_control cluster records);
-    trace = gryff_trace records;
-    history_len = Array.length records;
-    ops_completed = stats.completed;
-    ops_timed_out = stats.timed_out;
-    timed_out_by_kind = timed_out_by_kind stats;
-    post_quiet_completed = stats.post_quiet_completed;
-    post_quiet_timed_out = stats.post_quiet_timed_out;
-    aborted_attempts = 0;
-    unacked_commits = !unacked;
-    faults_injected = !faults;
-    msgs_sent = Sim.Net.messages_sent net;
-    dropped_crash = Sim.Net.dropped_crash net;
-    dropped_partition = Sim.Net.dropped_partition net;
-    dropped_loss = Sim.Net.dropped_loss net;
-    duplicated = Sim.Net.messages_duplicated net;
-    delayed = Sim.Net.messages_delayed net;
-    latency;
-    duration_us = Sim.Engine.now engine;
-    view_changes = 0;
-    rpc_retries = (Gryff.Cluster.retrans_stats cluster).Gryff.Cluster.rpc_retries;
-    in_doubt_resolved = 0;
-    max_election_us = 0;
-    migrations = 0;
-    migration_retries = 0;
-    redirects = 0;
-    disk_torn =
-      (match dctl with
-      | Some ctl -> (Sim.Durable.Faults.stats ctl).Sim.Durable.Faults.fs_torn
-      | None -> 0);
-    disk_corrupt = 0;
-    disk_resurfaced = 0;
-    disk_lost_ints = 0;
-    disk_crashes = 0;
-    scrub_passes = (match scrub_stats with Some s -> s.Sim.Scrub.passes | None -> 0);
-    scrub_entries = (match scrub_stats with Some s -> s.Sim.Scrub.entries | None -> 0);
-    scrub_flagged = (match scrub_stats with Some s -> s.Sim.Scrub.flagged | None -> 0);
-    repairs_torn = 0;
-    repairs_quarantined = 0;
-    repairs_peer = 0;
-    place_repairs = 0;
-    unrepaired = 0;
-  }
+  of_run protocol r
 
-(* ------------------------------------------------------------------ *)
-(* Dispatch and reporting                                              *)
-(* ------------------------------------------------------------------ *)
-
-let run protocol ?tracer ?prepare ~schedule ?disk_faults ?n_slots ?n_keys
-    ?timeout_us ?conflict ?write_ratio ?unsafe_no_deps ?failover ?n_migrations
-    ~duration_s ~seed () =
-  match protocol with
-  | Spanner_strict ->
-    spanner ?tracer ?prepare ~mode:Spanner.Config.Strict ~schedule ?disk_faults
-      ?n_slots ?n_keys ?timeout_us ?failover ?n_migrations ~duration_s ~seed ()
-  | Spanner_rss ->
-    spanner ?tracer ?prepare ~mode:Spanner.Config.Rss ~schedule ?disk_faults
-      ?n_slots ?n_keys ?timeout_us ?failover ?n_migrations ~duration_s ~seed ()
-  | Gryff_lin ->
-    gryff ?tracer ?prepare ~mode:Gryff.Config.Lin ~schedule ?disk_faults
-      ?n_slots ?n_keys ?timeout_us ?conflict ?write_ratio ?unsafe_no_deps
-      ?failover ~duration_s ~seed ()
-  | Gryff_rsc ->
-    gryff ?tracer ?prepare ~mode:Gryff.Config.Rsc ~schedule ?disk_faults
-      ?n_slots ?n_keys ?timeout_us ?conflict ?write_ratio ?unsafe_no_deps
-      ?failover ~duration_s ~seed ()
-
-let liveness_ok ?(min_post_quiet = 1) (r : run) =
-  r.post_quiet_completed >= min_post_quiet
-
-(* The audit report rides the one metrics-table renderer: the run record's
-   counters become a registry snapshot, the latency recorder a histogram. *)
-let metrics_of_run r =
-  {
-    Obs.Metrics.counters =
-      List.sort compare
-        (List.map
-           (fun (k, v) -> ("op.timed_out." ^ k, v))
-           r.timed_out_by_kind
-        @ [
-          ("op.completed", r.ops_completed);
-          ("op.timed_out", r.ops_timed_out);
-          ("op.post_heal_completed", r.post_quiet_completed);
-          ("op.post_heal_timed_out", r.post_quiet_timed_out);
-          ("op.aborted_attempts", r.aborted_attempts);
-          ("op.unacked_commits_swept", r.unacked_commits);
-          ("op.history_records", r.history_len);
-          ("fault.injected", r.faults_injected);
-          ("net.messages", r.msgs_sent);
-          ("fault.dropped_crash", r.dropped_crash);
-          ("fault.dropped_partition", r.dropped_partition);
-          ("fault.dropped_loss", r.dropped_loss);
-          ("fault.duplicated", r.duplicated);
-          ("fault.delayed", r.delayed);
-          ("failover.view_changes", r.view_changes);
-          ("failover.rpc_retries", r.rpc_retries);
-          ("failover.in_doubt_resolved", r.in_doubt_resolved);
-          ("failover.max_election_us", r.max_election_us);
-          ("place.migrations", r.migrations);
-          ("place.migration_retries", r.migration_retries);
-          ("place.redirects", r.redirects);
-          ("durable.fault.torn", r.disk_torn);
-          ("durable.fault.corrupt", r.disk_corrupt);
-          ("durable.fault.resurfaced", r.disk_resurfaced);
-          ("durable.fault.lost_ints", r.disk_lost_ints);
-          ("durable.fault.crashes", r.disk_crashes);
-          ("durable.scrub.passes", r.scrub_passes);
-          ("durable.scrub.entries", r.scrub_entries);
-          ("durable.scrub.flagged", r.scrub_flagged);
-          ("durable.repair.torn", r.repairs_torn);
-          ("durable.repair.quarantined", r.repairs_quarantined);
-          ("durable.repair.peer", r.repairs_peer);
-          ("durable.repair.place", r.place_repairs);
-          ("durable.repair.unrepaired", r.unrepaired);
-        ]);
-    gauges = [];
-    histograms =
-      (if Stats.Recorder.is_empty r.latency then [] else [ ("ops", r.latency) ]);
-  }
+let liveness_ok ?(min_post_quiet = 1) r =
+  counter r "op.post_heal_completed" >= min_post_quiet
 
 let print_report r =
   Fmt.pr "chaos audit: %s — model: %s@." (protocol_name r.protocol)
     (model_name r.protocol);
-  Obs.Metrics.print_table ~header:"chaos audit" (metrics_of_run r);
-  (match r.check with
-  | Ok () -> Fmt.pr "history: verified (%s)@." (model_name r.protocol)
-  | Error m -> Fmt.pr "history: VIOLATION — %s@." m);
+  Obs.Metrics.print_table ~header:"chaos audit" r.metrics;
+  Driver.Run.print_history ~model:(model_name r.protocol)
+    (Driver.Run.verdict_of_result r.check);
   Fmt.pr "liveness: %s (%d ops completed after heal)@."
     (if liveness_ok r then "ok" else "STALLED")
-    r.post_quiet_completed;
-  if r.disk_crashes > 0 || r.unrepaired > 0 then
+    (counter r "op.post_heal_completed");
+  let c = counter r in
+  if c "durable.fault.crashes" > 0 || c "durable.repair.unrepaired" > 0 then
     Fmt.pr
       "storage: %d crash-damage events — %d torn-tail repairs, %d quarantined \
        (%d healed by peer transfer, %d place re-persists), %d UNREPAIRED@."
-      r.disk_crashes r.repairs_torn r.repairs_quarantined r.repairs_peer
-      r.place_repairs r.unrepaired
+      (c "durable.fault.crashes") (c "durable.repair.torn")
+      (c "durable.repair.quarantined") (c "durable.repair.peer")
+      (c "durable.repair.place") (c "durable.repair.unrepaired")

@@ -1,7 +1,8 @@
 (** Nemesis-driven consistency audits.
 
-    An audit runs one protocol under a fault {!Schedule.t} with a
-    timeout-respawning workload, collects the execution history — including
+    An audit is one {!Driver} run of a protocol's default deployment under
+    a fault {!Schedule.t} with the {!Driver.Slots} load (timeout-respawning
+    session slots): the driver collects the execution history — including
     operations whose acknowledgement a fault swallowed, swept in as
     incomplete records — and checks it against the protocol's consistency
     model. Liveness is asserted separately: operations invoked after the
@@ -34,15 +35,15 @@ val nemesis_schedule :
 
 (** {1 Storage fault injection}
 
-    When a driver is given a [disk_faults] spec it installs a
-    {!Sim.Durable.Faults} control {e before} building the cluster (stores
+    Re-exported from {!Driver}: a driver given a [disk_faults] spec installs
+    a {!Sim.Durable.Faults} control {e before} building the cluster (stores
     register at creation), ties storage damage to the schedule's [Crash]
     events, re-verifies the placement directory's log on site-0 [Recover],
     and arms the background {!Sim.Scrub} pass. Fault placement draws from
     the control's own seeded stream, so network schedules stay
     byte-identical with or without disk faults armed. *)
 
-type disk_faults = {
+type disk_faults = Driver.disk_faults = {
   df_spec : Sim.Durable.Faults.spec;  (** per-crash damage probabilities *)
   df_seed : int;  (** the control's dedicated stream *)
   df_scrub_period_us : int;  (** 0 disables the background scrub *)
@@ -56,17 +57,6 @@ val default_disk_faults :
 (** Integrity on, 250 ms scrub period, [spec] defaulting to
     {!Sim.Durable.Faults.default_spec}. *)
 
-val install_disk_faults : disk_faults option -> Sim.Durable.Faults.ctl option
-(** Install the control — call {e before} building the cluster, and
-    {!Sim.Durable.Faults.retire} the result even on exceptional exit.
-    Shared by the audit drivers and the chaos-enabled harness drivers. *)
-
-val arm_scrub :
-  Sim.Engine.t -> tracer:Obs.Trace.t -> dctl:Sim.Durable.Faults.ctl option ->
-  disk_faults:disk_faults option -> duration_s:float -> Sim.Scrub.stats option
-(** Arm the background scrub pass on a dedicated station; [None] without an
-    installed control or with a zero scrub period. *)
-
 (** The raw collected history, exposed so callers (notably the schedule
     explorer) can re-judge a finished run with {!Rss_core.Check_online} or
     other oracles without re-executing the simulation. Spanner runs carry
@@ -77,7 +67,7 @@ type records =
 
 type run = {
   protocol : protocol;
-  check : (unit, string) result;  (** the consistency verdict *)
+  check : (unit, string) result;  (** the offline consistency verdict *)
   records : records;  (** the raw history behind [check] and [trace] *)
   stale_control : unit -> (unit, string) result option;
       (** Corrupt one read in the collected history to an older version and
@@ -85,96 +75,32 @@ type run = {
           should be [Error _] — the audit's proof that the checker has
           teeth. *)
   trace : string;  (** canonical history serialization, for determinism diffs *)
-  history_len : int;
-  ops_completed : int;
-  ops_timed_out : int;  (** abandoned after [timeout_us]; session retired *)
-  timed_out_by_kind : (string * int) list;
-      (** the timeouts split by op kind, sorted — ["ro"]/["rw"] for
-          Spanner, ["read"]/["write"]/["rmw"] for Gryff. A fault that only
-          starves one kind (ROs stuck behind a gray leader, say) is
-          visible here and invisible in the aggregate. *)
-  post_quiet_completed : int;
-      (** ops invoked after {!Schedule.end_of_faults} that completed *)
-  post_quiet_timed_out : int;
-  aborted_attempts : int;  (** wound-wait retries (Spanner only) *)
-  unacked_commits : int;  (** committed-but-unacknowledged ops swept in *)
-  faults_injected : int;
-  msgs_sent : int;
-  dropped_crash : int;
-  dropped_partition : int;
-  dropped_loss : int;
-  duplicated : int;
-  delayed : int;
-  latency : Stats.Recorder.t;  (** completed-op latency *)
-  duration_us : int;
-  view_changes : int;  (** leader elections across all shard groups *)
-  rpc_retries : int;  (** request retransmissions (terminate / retrans) *)
-  in_doubt_resolved : int;  (** 2PC participants settled via status queries *)
-  max_election_us : int;  (** worst detection-to-activation gap *)
-  migrations : int;  (** completed live migrations (Spanner only) *)
-  migration_retries : int;  (** per-source fence/ship re-attempts *)
-  redirects : int;  (** client ops bounced off a non-owning shard *)
-  disk_torn : int;  (** log entries lost to tail tears *)
-  disk_corrupt : int;  (** misdirected-write corruptions injected *)
-  disk_resurfaced : int;  (** stale truncated entries resurfaced *)
-  disk_lost_ints : int;  (** register writes lost at crashes *)
-  disk_crashes : int;  (** crash events that damaged ≥1 store *)
-  scrub_passes : int;  (** background store scans completed *)
-  scrub_entries : int;  (** log entries the scrub verified *)
-  scrub_flagged : int;  (** logs the scrub caught damaged *)
-  repairs_torn : int;  (** torn/suspect suffixes truncated and refetched *)
-  repairs_quarantined : int;  (** members quarantined for mid-log damage *)
-  repairs_peer : int;  (** quarantines healed by peer state transfer *)
-  place_repairs : int;  (** directory assignments re-persisted *)
-  unrepaired : int;  (** members still quarantined at run end (fail-stop) *)
+  metrics : Obs.Metrics.snapshot;
+      (** every other number, under the driver's counter names; read with
+          {!counter}. Beyond the protocol, network, fault, failover,
+          placement and durable counters of any driver run, the slots load
+          adds [op.completed], [op.timed_out] (and [op.timed_out.KIND] for
+          ["ro"]/["rw"] or ["read"]/["write"]), [op.post_heal_completed],
+          [op.post_heal_timed_out] (ops invoked after
+          {!Schedule.end_of_faults}), [op.unacked_commits_swept] and
+          [op.history_records]; the ["ops"] histogram is the completed-op
+          latency. *)
+  ops_completed : int;  (** [op.completed] *)
+  ops_timed_out : int;  (** [op.timed_out]: abandoned, session retired *)
+  msgs_sent : int;  (** [net.messages] *)
+  duration_us : int;  (** simulated time at which the engine drained *)
+  view_changes : int;  (** [failover.view_changes], all shard groups *)
+  aborted_attempts : int;  (** [rw.aborted_attempts] (Spanner only) *)
 }
 
-val sweep_spanner_txn :
-  Spanner.Cluster.t -> proc:int -> inv:int -> writes:(int * int) list ->
-  txn:int -> bool
-(** If attempt [txn] committed, record it as an incomplete transaction
-    (resp = max_int) — a committed-but-unacknowledged op whose writes are
-    visible. Returns whether it was recorded. Shared by the audit drivers
-    and the chaos-enabled harness drivers. *)
+val counter : run -> string -> int
+(** A counter from [metrics] by name; [0] when absent. *)
 
-val sweep_gryff_write :
-  Gryff.Cluster.t -> proc:int -> inv:int -> key:int -> value:int ->
-  cs:Gryff.Carstamp.t -> unit
-(** Record a write whose propagate phase started but whose acknowledgement
-    never arrived, as an incomplete operation. *)
-
-val spanner :
-  ?config:Spanner.Config.t -> ?tracer:Obs.Trace.t ->
-  ?prepare:(Sim.Engine.t -> Sim.Net.t -> unit) ->
-  mode:Spanner.Config.mode -> schedule:Schedule.t -> ?disk_faults:disk_faults ->
-  ?n_slots:int -> ?theta:float -> ?n_keys:int -> ?timeout_us:int ->
-  ?failover:bool -> ?n_migrations:int -> duration_s:float -> seed:int ->
-  unit -> run
-(** Retwis over Spanner. [n_slots] concurrent session slots; a slot whose
-    operation misses [timeout_us] abandons that session (fresh process id —
-    session-order checking stays sound) and continues with a new one.
-    [failover] (default false) arms {!Spanner.Cluster.enable_failover} and
-    puts client deadlines on every operation — required for liveness under
-    leader-killing schedules. [n_migrations] (default 0) schedules that many
-    live migrations of the Zipfian-hot eighth of the keyspace, spread over
-    the run, each to a different destination shard — the workload for
-    {!Nemesis.Reshard} / {!Nemesis.Hot_split} schedules. [prepare] runs
-    right after the cluster is built, before any fault or workload event is
-    scheduled — the schedule explorer uses it to install perturbation hooks
-    and batching policies on the engine/net. *)
-
-val gryff :
-  ?config:Gryff.Config.t -> ?client_sites:int array -> ?tracer:Obs.Trace.t ->
-  ?prepare:(Sim.Engine.t -> Sim.Net.t -> unit) ->
-  mode:Gryff.Config.mode -> schedule:Schedule.t -> ?disk_faults:disk_faults ->
-  ?n_slots:int ->
-  ?write_ratio:float -> ?conflict:float -> ?n_keys:int -> ?timeout_us:int ->
-  ?unsafe_no_deps:bool -> ?failover:bool -> duration_s:float -> seed:int ->
-  unit -> run
-(** YCSB-style reads/writes over Gryff. [client_sites] restricts where
-    clients run (e.g. off a crash victim); default all replica sites.
-    [unsafe_no_deps] runs the broken control client (RSC fence disabled).
-    [failover] arms {!Gryff.Cluster.enable_retrans}. *)
+val of_run : protocol -> Driver.Run.t -> run
+(** The audit view of a driver run of [protocol] under the slots load —
+    for audits of non-default deployments (a five-site Spanner, clients
+    kept off a crash victim) built with {!Driver.spanner} /
+    {!Driver.gryff} directly. *)
 
 val run :
   protocol -> ?tracer:Obs.Trace.t ->
@@ -183,11 +109,19 @@ val run :
   ?conflict:float -> ?write_ratio:float -> ?unsafe_no_deps:bool ->
   ?failover:bool -> ?n_migrations:int -> duration_s:float -> seed:int ->
   unit -> run
-(** Dispatch on {!protocol} with that protocol's default deployment.
+(** Audit [protocol]'s default deployment (wan3 Retwis at θ = 0.5 over
+    5,000 keys with 12 slots; wan5 YCSB over 2,000 keys with 10 slots)
+    under [schedule], with [timeout_us] (default 2 s) per operation.
     [tracer] (default disabled) records spans cluster-wide plus a
-    [Fault]-kind instant per injected event. [n_migrations] applies to the
-    Spanner protocols only (Gryff has no elastic placement); [conflict],
-    [write_ratio] and [unsafe_no_deps] apply to the Gryff protocols only. *)
+    [Fault]-kind instant per injected event. [failover] arms crash
+    recovery (and, for Spanner, client deadlines just under the timeout).
+    [n_migrations] (Spanner only) live-migrates the Zipfian-hot eighth of
+    the keyspace that many times, spread over the run, each to a
+    different shard. [conflict], [write_ratio] and [unsafe_no_deps] (the
+    broken control client with the RSC fence disabled) apply to Gryff
+    only. [prepare] runs right after the cluster is built, before
+    anything else is armed or scheduled — the schedule explorer installs
+    perturbation hooks and batching there. *)
 
 val liveness_ok : ?min_post_quiet:int -> run -> bool
 (** True when at least [min_post_quiet] (default 1) operations invoked after

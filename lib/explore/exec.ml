@@ -125,32 +125,6 @@ let make_checker ~mode ~check_budget =
       ~fallback_states:check_budget ~mode ()
   else Rss_core.Check_online.create ~mode ()
 
-(* Same conversion the harness's online arm uses: a Gryff register record
-   as a one-op witness transaction, reads ranked above writes at equal
-   carstamps. *)
-let gryff_witness_txn (r : Gryff.Cluster.record) =
-  let key = string_of_int r.Gryff.Cluster.g_key in
-  let reads =
-    match r.Gryff.Cluster.g_kind with
-    | Gryff.Cluster.Read | Gryff.Cluster.Rmw ->
-      [ (key, r.Gryff.Cluster.g_observed) ]
-    | Gryff.Cluster.Write -> []
-  in
-  let writes =
-    match (r.Gryff.Cluster.g_kind, r.Gryff.Cluster.g_written) with
-    | (Gryff.Cluster.Write | Gryff.Cluster.Rmw), Some v -> [ (key, v) ]
-    | _ -> []
-  in
-  {
-    Rss_core.Witness.proc = r.Gryff.Cluster.g_proc;
-    reads;
-    writes;
-    inv = r.Gryff.Cluster.g_inv;
-    resp = r.Gryff.Cluster.g_resp;
-    ts = Gryff.Carstamp.pack r.Gryff.Cluster.g_cs;
-    rank = (match r.Gryff.Cluster.g_kind with Gryff.Cluster.Read -> 1 | _ -> 0);
-  }
-
 (* Registers are per-key: carstamp order is only meaningful within a key,
    so each key gets its own online checker (mirroring the harness). Keys
    are settled in sorted order so the combined verdict — in particular
@@ -165,44 +139,27 @@ let judge ~protocol ~check_budget records =
       Rss_core.Check_online.work oc,
       Rss_core.Check_online.max_displacement oc )
   | Chaos.Audit.Gryff_records arr ->
-    let tbl : (int, Rss_core.Check_online.t) Hashtbl.t = Hashtbl.create 64 in
+    let add, settled =
+      Chaos.Driver.keyed_checkers (fun () -> make_checker ~mode ~check_budget)
+    in
     Array.iter
       (fun (r : Gryff.Cluster.record) ->
-        let oc =
-          match Hashtbl.find_opt tbl r.Gryff.Cluster.g_key with
-          | Some oc -> oc
-          | None ->
-            let oc = make_checker ~mode ~check_budget in
-            Hashtbl.add tbl r.Gryff.Cluster.g_key oc;
-            oc
-        in
-        Rss_core.Check_online.add oc (gryff_witness_txn r))
+        add r.Gryff.Cluster.g_key (Chaos.Driver.gryff_witness_txn r))
       arr;
-    let keys =
-      List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
-    in
     List.fold_left
-      (fun (verdict, work, disp) key ->
-        let oc = Hashtbl.find tbl key in
+      (fun (verdict, work, disp) (key, oc) ->
         let work = work + Rss_core.Check_online.work oc in
         let disp = max disp (Rss_core.Check_online.max_displacement oc) in
         let verdict =
           match verdict with
           | Rss_core.Check_online.Fail _ -> verdict
-          | Rss_core.Check_online.Pass | Rss_core.Check_online.Unknown _ -> (
-            match Rss_core.Check_online.result oc with
-            | Rss_core.Check_online.Pass -> verdict
-            | Rss_core.Check_online.Fail m ->
-              Rss_core.Check_online.Fail (Fmt.str "key %d: %s" key m)
-            | Rss_core.Check_online.Unknown m -> (
-              match verdict with
-              | Rss_core.Check_online.Unknown _ -> verdict
-              | _ -> Rss_core.Check_online.Unknown (Fmt.str "key %d: %s" key m)
-              ))
+          | Rss_core.Check_online.Pass | Rss_core.Check_online.Unknown _ ->
+            Chaos.Driver.combine_keyed verdict
+              (key, Rss_core.Check_online.result oc)
         in
         (verdict, work, disp))
       (Rss_core.Check_online.Pass, 0, 0)
-      keys
+      (settled ())
 
 (* ------------------------------------------------------------------ *)
 (* Coverage signature                                                  *)
@@ -223,84 +180,70 @@ let bucket v =
   end
 
 let signature_of_run ~displacement (r : Chaos.Audit.run) =
-  let b = bucket in
+  let b name = bucket (Chaos.Audit.counter r name) in
   Fmt.str "v%d c%d p%d l%d d%d y%d q%d m%d r%d t%d u%d s%d w%d"
-    (b r.Chaos.Audit.view_changes)
-    (b r.Chaos.Audit.dropped_crash)
-    (b r.Chaos.Audit.dropped_partition)
-    (b r.Chaos.Audit.dropped_loss)
-    (b r.Chaos.Audit.duplicated)
-    (b r.Chaos.Audit.delayed)
-    (b r.Chaos.Audit.in_doubt_resolved)
-    (b (r.Chaos.Audit.migrations + r.Chaos.Audit.migration_retries))
-    (b r.Chaos.Audit.redirects)
-    (b r.Chaos.Audit.ops_timed_out)
-    (b r.Chaos.Audit.unacked_commits)
-    (b (r.Chaos.Audit.disk_crashes + r.Chaos.Audit.scrub_flagged))
-    (b displacement)
+    (b "failover.view_changes") (b "fault.dropped_crash")
+    (b "fault.dropped_partition") (b "fault.dropped_loss")
+    (b "fault.duplicated") (b "fault.delayed")
+    (b "failover.in_doubt_resolved")
+    (bucket
+       (Chaos.Audit.counter r "place.migrations"
+       + Chaos.Audit.counter r "place.migration_retries"))
+    (b "place.redirects") (b "op.timed_out") (b "op.unacked_commits_swept")
+    (bucket
+       (Chaos.Audit.counter r "durable.fault.crashes"
+       + Chaos.Audit.counter r "durable.scrub.flagged"))
+    (bucket displacement)
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let scale_spec pct (s : Sim.Durable.Faults.spec) =
-  let r = float_of_int pct /. 100.0 in
-  let p x = min 1.0 (x *. r) in
-  {
-    s with
-    Sim.Durable.Faults.tear_prob = p s.Sim.Durable.Faults.tear_prob;
-    corrupt_prob = p s.Sim.Durable.Faults.corrupt_prob;
-    stale_prob = p s.Sim.Durable.Faults.stale_prob;
-    lost_int_prob = p s.Sim.Durable.Faults.lost_int_prob;
-  }
+let audit ?prepare i =
+  let duration_s = float_of_int i.duration_ms /. 1_000.0 in
+  let disk_faults =
+    if i.disk_rate_pct = 0 then None
+    else
+      let base =
+        Option.value (Chaos.Nemesis.disk_spec i.preset)
+          ~default:Sim.Durable.Faults.default_spec
+      in
+      Some
+        (Chaos.Audit.default_disk_faults
+           ~spec:
+             (Sim.Durable.Faults.scale
+                (float_of_int i.disk_rate_pct /. 100.0)
+                base)
+           ~seed:i.nemesis_seed ())
+  in
+  Chaos.Audit.run i.protocol ?prepare
+    ~schedule:
+      (Chaos.Audit.nemesis_schedule i.protocol i.preset ~duration_s
+         ~seed:i.nemesis_seed)
+    ?disk_faults ~n_slots:i.n_slots ~n_keys:i.n_keys
+    ~timeout_us:(i.timeout_ms * 1_000)
+    ~conflict:(float_of_int i.conflict_pct /. 100.0)
+    ~write_ratio:(float_of_int i.write_pct /. 100.0)
+    ~unsafe_no_deps:i.unsafe
+    ~failover:(Chaos.Nemesis.requires_failover i.preset)
+    ~n_migrations:(if Chaos.Nemesis.requires_reshard i.preset then 2 else 0)
+    ~duration_s ~seed:i.seed ()
 
 let run i =
   (match validate i with
   | Ok () -> ()
   | Error m -> invalid_arg ("Explore.Exec.run: " ^ m));
-  let duration_s = float_of_int i.duration_ms /. 1_000.0 in
-  let schedule =
-    Chaos.Audit.nemesis_schedule i.protocol i.preset ~duration_s
-      ~seed:i.nemesis_seed
-  in
-  let failover = Chaos.Nemesis.requires_failover i.preset in
-  let n_migrations =
-    match i.protocol with
-    | Chaos.Audit.Spanner_strict | Chaos.Audit.Spanner_rss ->
-      if Chaos.Nemesis.requires_reshard i.preset then 2 else 0
-    | _ -> 0
-  in
-  let disk_faults =
-    if i.disk_rate_pct = 0 then None
-    else
-      let base =
-        match Chaos.Nemesis.disk_spec i.preset with
-        | Some s -> s
-        | None -> Sim.Durable.Faults.default_spec
-      in
-      Some
-        (Chaos.Audit.default_disk_faults
-           ~spec:(scale_spec i.disk_rate_pct base)
-           ~seed:i.nemesis_seed ())
-  in
-  let prepare engine net =
-    Perturb.install i.perturb ~engine ~net;
-    if i.batch_us > 0 then
-      Sim.Net.set_batching net
-        (Some
-           {
-             Sim.Net.batch_us = i.batch_us;
-             batch_max = i.batch_max;
-             adaptive = false;
-           })
-  in
-  let conflict = float_of_int i.conflict_pct /. 100.0 in
-  let write_ratio = float_of_int i.write_pct /. 100.0 in
   let run =
-    Chaos.Audit.run i.protocol ~prepare ~schedule ?disk_faults
-      ~n_slots:i.n_slots ~n_keys:i.n_keys ~timeout_us:(i.timeout_ms * 1_000)
-      ~conflict ~write_ratio ~unsafe_no_deps:i.unsafe ~failover ~n_migrations
-      ~duration_s ~seed:i.seed ()
+    audit i ~prepare:(fun engine net ->
+        Perturb.install i.perturb ~engine ~net;
+        if i.batch_us > 0 then
+          Sim.Net.set_batching net
+            (Some
+               {
+                 Sim.Net.batch_us = i.batch_us;
+                 batch_max = i.batch_max;
+                 adaptive = false;
+               }))
   in
   let verdict, work, displacement =
     judge ~protocol:i.protocol ~check_budget:i.check_budget

@@ -62,6 +62,12 @@ type outcome = {
   run : Chaos.Audit.run;  (** full counters for reporting *)
 }
 
+val audit :
+  ?prepare:(Sim.Engine.t -> Sim.Net.t -> unit) -> input -> Chaos.Audit.run
+(** The {!Chaos.Audit.run} call behind a trial, with [prepare] as the
+    audit's hook; {!run} passes one installing the perturbation and
+    batching. Without [prepare] this is the raw audit of the input. *)
+
 val run : input -> outcome
 (** Execute the trial. Deterministic: a pure function of [input]. *)
 

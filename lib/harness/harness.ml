@@ -1,1035 +1,64 @@
-(* Shared experiment drivers for the benchmark suite: each returns one
-   {!Run.t} — latency recorders, a metrics-registry snapshot, the run's
-   history, and the history-verification verdict (a bench that produced an
-   inconsistent run would be measuring a broken system). *)
+(* The paper's experiments as presets over the one driver per protocol
+   (Chaos.Driver): each picks a deployment and a load and passes the
+   caller's environment through. *)
 
-module Run = struct
-  type history =
-    | Spanner_txns of Rss_core.Witness.txn array
-    | Gryff_ops of Gryff.Cluster.record array
+module Run = Chaos.Driver.Run
+module Env = Chaos.Driver.Env
 
-  type verdict = Rss_core.Check_online.verdict =
-    | Pass
-    | Fail of string
-    | Unknown of string
+type check_mode = Chaos.Driver.check_mode
 
-  type t = {
-    latencies : (string * Stats.Recorder.t) list;
-    metrics : Obs.Metrics.snapshot;
-    check : verdict;
-    records : history;
-    duration_us : int;
-  }
-
-  let passed t = match t.check with Pass -> true | Fail _ | Unknown _ -> false
-
-  let empty_recorder = Stats.Recorder.create ()
-
-  let latency t name =
-    match List.assoc_opt name t.latencies with
-    | Some r -> r
-    | None -> empty_recorder
-
-  let counter t name = Obs.Metrics.counter_value t.metrics name
-
-  let gauge t name = Obs.Metrics.gauge_value t.metrics name
-
-  (* Option-returning accessors: absent (or NaN, e.g. a p50 over an empty
-     recorder) gauges and empty recorders come back as [None], so callers
-     render "n/a" instead of leaking [nan] into tables and jq gates. *)
-  let gauge_opt t name =
-    let v = Obs.Metrics.gauge_value t.metrics name in
-    if Float.is_nan v then None else Some v
-
-  let latency_opt t name =
-    match List.assoc_opt name t.latencies with
-    | Some r when not (Stats.Recorder.is_empty r) -> Some r
-    | Some _ | None -> None
-
-  let completed t =
-    List.fold_left (fun acc (_, r) -> acc + Stats.Recorder.count r) 0 t.latencies
-
-  let n_records t =
-    match t.records with
-    | Spanner_txns a -> Array.length a
-    | Gryff_ops a -> Array.length a
-
-  let print_latencies ?(header = "latency (ms)") t =
-    Stats.Summary.print_latency_table ~header ~rows:t.latencies ()
-
-  let print_metrics ?header t = Obs.Metrics.print_table ?header t.metrics
-
-  let print_summary ?(header = "run") t =
-    print_latencies ~header:(header ^ " latency (ms)") t;
-    print_metrics ~header t;
-    match t.check with
-    | Pass -> ()
-    | Fail m ->
-      Fmt.pr "  !! %s: consistency violation in run history: %s@." header m
-    | Unknown m -> Fmt.pr "  ?? %s: consistency verdict unknown: %s@." header m
-end
-
-type check_mode = [ `Offline | `Online | `No_check ]
-
-(* Arm a chaos schedule on the run's engine; returns the injected-event
-   counter to read after the run. With a disk-fault control installed
-   ([dctl]), every Crash event also damages the crashed sites' durable
-   stores, and [on_recover] lets drivers re-verify site-local storage (the
-   placement directory) as sites come back. [Slow]/[Slow_clear] events are
-   applied through [on_slow]/[on_slow_clear] — stations live in the
-   protocol deployments, so the schedule itself cannot reach them. *)
-let arm_chaos ?chaos ?(tracer = Obs.Trace.disabled) ?dctl ?on_recover ?on_slow
-    ?on_slow_clear ~engine ~net ?tt () =
-  match chaos with
-  | None -> ref 0
-  | Some schedule ->
-    let faults = ref 0 in
-    ignore
-      (Chaos.Schedule.apply schedule ~engine ~net ?tt ~tracer
-         ~on_fault:(fun (ev : Chaos.Schedule.event) ->
-           incr faults;
-           (match ev.Chaos.Schedule.fault with
-           | Chaos.Schedule.Slow { site; factor } -> (
-             match on_slow with Some f -> f ~site ~factor | None -> ())
-           | Chaos.Schedule.Slow_clear -> (
-             match on_slow_clear with Some f -> f () | None -> ())
-           | _ -> ());
-           match (dctl, ev.Chaos.Schedule.fault) with
-           | Some ctl, Chaos.Schedule.Crash ss ->
-             List.iter (Sim.Durable.Faults.crash_site ctl) ss
-           | Some _, Chaos.Schedule.Recover ss -> (
-             match on_recover with Some f -> f ss | None -> ())
-           | _ -> ())
-         ());
-    faults
-
-(* Disk-fault and scrub accounting for chaos-enabled drivers. Fault-free
-   runs never install a control, so the counters stay absent. *)
-let durable_metrics reg ~dctl ~scrub =
-  match dctl with
-  | None -> ()
-  | Some ctl ->
-    let c name v = Obs.Metrics.add (Obs.Metrics.counter reg name) v in
-    let ds = Sim.Durable.Faults.stats ctl in
-    c "durable.fault.torn" ds.Sim.Durable.Faults.fs_torn;
-    c "durable.fault.corrupt" ds.Sim.Durable.Faults.fs_corrupt;
-    c "durable.fault.resurfaced" ds.Sim.Durable.Faults.fs_resurfaced;
-    c "durable.fault.lost_ints" ds.Sim.Durable.Faults.fs_lost_ints;
-    c "durable.fault.crashes" ds.Sim.Durable.Faults.fs_crashes;
-    (match scrub with
-    | Some (s : Sim.Scrub.stats) ->
-      c "durable.scrub.passes" s.Sim.Scrub.passes;
-      c "durable.scrub.entries" s.Sim.Scrub.entries;
-      c "durable.scrub.flagged" s.Sim.Scrub.flagged
-    | None -> ())
-
-(* Fold the network/fault accounting into a registry. All-zero counters are
-   harmless: snapshots keep them, the table renderer filters them. *)
-let net_metrics reg ~faults net =
-  let c name v = Obs.Metrics.add (Obs.Metrics.counter reg name) v in
-  c "net.messages" (Sim.Net.messages_sent net);
-  c "net.bytes" (Sim.Net.bytes_sent net);
-  c "fault.injected" faults;
-  c "fault.dropped_crash" (Sim.Net.dropped_crash net);
-  c "fault.dropped_partition" (Sim.Net.dropped_partition net);
-  c "fault.dropped_loss" (Sim.Net.dropped_loss net);
-  c "fault.duplicated" (Sim.Net.messages_duplicated net);
-  c "fault.delayed" (Sim.Net.messages_delayed net);
-  (* Batching accounting — absent on unbatched runs. *)
-  if Sim.Net.batch_envelopes net > 0 then begin
-    c "batch.envelopes" (Sim.Net.batch_envelopes net);
-    c "batch.members" (Sim.Net.batch_members net);
-    c "batch.flush.deadline" (Sim.Net.batch_flush_deadline net);
-    c "batch.flush.size" (Sim.Net.batch_flush_size net);
-    c "batch.flush.idle" (Sim.Net.batch_flush_idle net);
-    c "batch.max_members" (Sim.Net.batch_max_members net);
-    (* Members-per-envelope distribution. Registry histograms follow the
-       µs convention and render in ms, so sizes are stored ×1000: the
-       printed table and [Recorder.percentile_ms] read directly in whole
-       members. *)
-    let h = Obs.Metrics.histogram reg "batch.size" in
-    Array.iter
-      (fun n -> Stats.Recorder.add h (n * 1000))
-      (Stats.Recorder.to_sorted_array (Sim.Net.batch_sizes net))
-  end
-
-let spanner_metrics ~faults ~failover cluster =
-  let reg = Obs.Metrics.create () in
-  let c name v = Obs.Metrics.add (Obs.Metrics.counter reg name) v in
-  let s = Spanner.Cluster.stats cluster in
-  c "rw.committed" s.Spanner.Cluster.rw_committed;
-  c "rw.aborted_attempts" s.Spanner.Cluster.rw_aborted_attempts;
-  c "rw.wounds" s.Spanner.Cluster.wounds;
-  c "ro.count" s.Spanner.Cluster.ro_count;
-  c "ro.slow" s.Spanner.Cluster.ro_slow;
-  c "ro.blocked_at_shards" s.Spanner.Cluster.ro_blocked_at_shards;
-  net_metrics reg ~faults (Spanner.Cluster.net cluster);
-  let ps = Spanner.Cluster.place_stats cluster in
-  c "place.epoch" ps.Spanner.Cluster.epoch;
-  c "place.migrations" ps.Spanner.Cluster.migrations;
-  c "place.migrations_failed" ps.Spanner.Cluster.migrations_failed;
-  c "place.migration_retries" ps.Spanner.Cluster.migration_retries;
-  c "place.keys_moved" ps.Spanner.Cluster.keys_moved;
-  c "place.redirects" ps.Spanner.Cluster.redirects;
-  c "place.fence_blocked" ps.Spanner.Cluster.fence_blocked;
-  c "place.fence_hold_us" ps.Spanner.Cluster.fence_hold_us;
-  c "place.max_fence_hold_us" ps.Spanner.Cluster.max_fence_hold_us;
-  c "place.directory_appends" ps.Spanner.Cluster.directory_appends;
-  if failover then begin
-    let fs = Spanner.Cluster.failover_stats cluster in
-    c "failover.view_changes" fs.Spanner.Cluster.view_changes;
-    c "failover.heartbeats" fs.Spanner.Cluster.heartbeats;
-    c "failover.catchups" fs.Spanner.Cluster.catchups;
-    c "failover.dup_acks" fs.Spanner.Cluster.dup_acks;
-    c "failover.max_election_us" fs.Spanner.Cluster.max_election_us;
-    c "failover.terminates" fs.Spanner.Cluster.terminates;
-    c "failover.terminate_commits" fs.Spanner.Cluster.terminate_commits;
-    c "failover.in_doubt_resolved" fs.Spanner.Cluster.in_doubt_resolved;
-    c "failover.rpc_retries" fs.Spanner.Cluster.rpc_retries;
-    c "failover.rpc_exhausted" fs.Spanner.Cluster.rpc_exhausted;
-    c "failover.durable_appends" fs.Spanner.Cluster.durable_appends;
-    c "failover.durable_bytes" fs.Spanner.Cluster.durable_bytes;
-    c "durable.repair.torn" fs.Spanner.Cluster.torn_repaired;
-    c "durable.repair.quarantined" fs.Spanner.Cluster.corrupt_quarantined;
-    c "durable.repair.peer" fs.Spanner.Cluster.peer_repairs;
-    c "durable.repair.unrepaired" fs.Spanner.Cluster.unrepaired;
-    c "durable.repair.place"
-      (Place.Directory.repairs (Spanner.Cluster.directory cluster))
-  end;
-  reg
-
-let gryff_metrics ~faults ~failover cluster =
-  let reg = Obs.Metrics.create () in
-  let c name v = Obs.Metrics.add (Obs.Metrics.counter reg name) v in
-  let s = Gryff.Cluster.stats cluster in
-  c "read.count" s.Gryff.Cluster.reads;
-  c "read.second_round" s.Gryff.Cluster.read_second_round;
-  c "read.deps_created" s.Gryff.Cluster.deps_created;
-  c "write.count" s.Gryff.Cluster.writes;
-  c "rmw.count" s.Gryff.Cluster.rmws;
-  c "rmw.slow" s.Gryff.Cluster.rmw_slow;
-  net_metrics reg ~faults (Gryff.Cluster.net cluster);
-  if failover then begin
-    let rs = Gryff.Cluster.retrans_stats cluster in
-    c "failover.rpc_calls" rs.Gryff.Cluster.rpc_calls;
-    c "failover.rpc_retries" rs.Gryff.Cluster.rpc_retries;
-    c "failover.rpc_exhausted" rs.Gryff.Cluster.rpc_exhausted
-  end;
-  reg
-
-(* {2 Consistency checking}
-
-   [`Offline] buffers the whole history and verifies post-hoc
-   (Cluster.check_history, as before). [`Online] hooks the cluster's record
-   stream into {!Rss_core.Check_online} so verification overlaps the run and
-   stays near-linear at million-op scale. [`No_check] skips verification —
-   for benchmarking raw simulator speed; the verdict reports [Unknown]. *)
-
-let verdict_of_result = function Ok () -> Run.Pass | Error m -> Run.Fail m
-
-let arm_spanner_online cluster =
-  let mode =
-    match (Spanner.Cluster.config cluster).Spanner.Config.mode with
-    | Spanner.Config.Strict -> `Strict
-    | Spanner.Config.Rss -> `Rss
-  in
-  let oc = Rss_core.Check_online.create ~mode () in
-  Spanner.Cluster.set_record_hook cluster (Rss_core.Check_online.add oc);
-  oc
-
-let gryff_witness_txn (r : Gryff.Cluster.record) =
-  let key = string_of_int r.Gryff.Cluster.g_key in
-  let reads =
-    match r.Gryff.Cluster.g_kind with
-    | Gryff.Cluster.Read | Gryff.Cluster.Rmw ->
-      [ (key, r.Gryff.Cluster.g_observed) ]
-    | Gryff.Cluster.Write -> []
-  in
-  let writes =
-    match (r.Gryff.Cluster.g_kind, r.Gryff.Cluster.g_written) with
-    | (Gryff.Cluster.Write | Gryff.Cluster.Rmw), Some v -> [ (key, v) ]
-    | _ -> []
-  in
-  {
-    Rss_core.Witness.proc = r.Gryff.Cluster.g_proc;
-    reads;
-    writes;
-    inv = r.Gryff.Cluster.g_inv;
-    resp = r.Gryff.Cluster.g_resp;
-    ts = Gryff.Carstamp.pack r.Gryff.Cluster.g_cs;
-    rank = (match r.Gryff.Cluster.g_kind with Gryff.Cluster.Read -> 1 | _ -> 0);
-  }
-
-(* Registers are per-key: carstamp order — hence the mode's real-time
-   constraint — is only meaningful within a key, so each key gets its own
-   online checker, mirroring Gryff.Cluster.check_history's per-key split. *)
-let arm_gryff_online cluster =
-  let mode =
-    match (Gryff.Cluster.config cluster).Gryff.Config.mode with
-    | Gryff.Config.Lin -> `Strict
-    | Gryff.Config.Rsc -> `Rss
-  in
-  let tbl : (int, Rss_core.Check_online.t) Hashtbl.t = Hashtbl.create 256 in
-  Gryff.Cluster.set_record_hook cluster (fun r ->
-      let oc =
-        match Hashtbl.find_opt tbl r.Gryff.Cluster.g_key with
-        | Some oc -> oc
-        | None ->
-          let oc = Rss_core.Check_online.create ~mode () in
-          Hashtbl.add tbl r.Gryff.Cluster.g_key oc;
-          oc
-      in
-      Rss_core.Check_online.add oc (gryff_witness_txn r));
-  tbl
-
-let gryff_online_result tbl =
-  Hashtbl.fold
-    (fun key oc acc ->
-      match acc with
-      | Run.Fail _ -> acc
-      | Run.Pass | Run.Unknown _ -> (
-        match Rss_core.Check_online.result oc with
-        | Rss_core.Check_online.Pass -> acc
-        | Rss_core.Check_online.Fail m -> Run.Fail (Fmt.str "key %d: %s" key m)
-        | Rss_core.Check_online.Unknown m -> (
-          match acc with
-          | Run.Unknown _ -> acc
-          | _ -> Run.Unknown (Fmt.str "key %d: %s" key m))))
-    tbl Run.Pass
-
-let gryff_online_stats tbl =
-  Hashtbl.fold
-    (fun _ oc (a, w, d) ->
-      ( a + Rss_core.Check_online.n_added oc,
-        w + Rss_core.Check_online.work oc,
-        max d (Rss_core.Check_online.max_displacement oc) ))
-    tbl (0, 0, 0)
-
-let online_counters reg ~added ~work ~max_displacement =
-  let c name v = Obs.Metrics.add (Obs.Metrics.counter reg name) v in
-  c "check.added" added;
-  c "check.work" work;
-  c "check.max_displacement" max_displacement
-
-(* Chaos runs must sweep committed-but-unacknowledged attempts into the
-   history before checking it (see Chaos.Audit); both trackers below record
-   via the audit's shared sweep convention. *)
-type pending_rw = {
-  pr_proc : int;
-  pr_inv : int;
-  pr_writes : (int * int) list;
-  mutable pr_last_txn : int;
-  mutable pr_done : bool;
-}
-
-(* One live migration armed partway through a run: move [rs_lo, rs_hi) to
-   [rs_dst] at fraction [rs_at] of the run. [rs_no_fence] skips the t_m
-   real-time barrier — the unsafe mutation control for safety experiments. *)
-type reshard_spec = {
-  rs_at : float;
-  rs_lo : int;
-  rs_hi : int;
-  rs_dst : int;
-  rs_no_fence : bool;
-}
-
-(* The overload-protection policy a driver applies to its cluster: all
-   fields off reproduce the unprotected run byte for byte. The budget is
-   given as (capacity, refill_period_us) rather than a built bucket because
-   the bucket needs the run's engine, which the driver owns. *)
-type flow_spec = {
-  fl_admission : Sim.Station.limits option;
-      (* bounded queues + shedding at every server station *)
-  fl_drop_expired : bool;  (* servers drop work already past its deadline *)
-  fl_hedge_us : int;  (* hedge reads still unfinished after this; 0 = off *)
-  fl_budget : (int * int) option;  (* retry bucket: capacity, refill µs *)
-  fl_gryff_fanout : Gryff.Protocol.read_fanout option;
-      (* read fan-out policy; None keeps each protocol's default *)
-}
-
-let flow_default =
-  {
-    fl_admission = None;
-    fl_drop_expired = false;
-    fl_hedge_us = 0;
-    fl_budget = None;
-    fl_gryff_fanout = None;
-  }
-
-(* One record for the cross-cutting run environment every driver used to
-   take as six separate optional keywords. Drivers accept [?env]; the old
-   keywords survive as thin shims that override the corresponding field. *)
-module Env = struct
-  type t = {
-    chaos : Chaos.Schedule.t option;
-    disk_faults : Chaos.Audit.disk_faults option;
-    failover : bool;
-    trace : Obs.Trace.t;
-    check : check_mode;
-    reshard : reshard_spec list;
-    batching : Sim.Net.policy option;
-    deadline_us : int option;
-    flow : flow_spec option;
-  }
-
-  let default =
-    {
-      chaos = None;
-      disk_faults = None;
-      failover = false;
-      trace = Obs.Trace.disabled;
-      check = `Offline;
-      reshard = [];
-      batching = None;
-      deadline_us = None;
-      flow = None;
-    }
-
-  let with_chaos s t = { t with chaos = Some s }
-  let with_disk_faults d t = { t with disk_faults = Some d }
-  let with_failover b t = { t with failover = b }
-  let with_trace tr t = { t with trace = tr }
-  let with_check c t = { t with check = c }
-  let with_reshard r t = { t with reshard = r }
-  let with_batching p t = { t with batching = p }
-
-  let with_deadline_us d t =
-    (match d with
-    | Some d when d <= 0 ->
-      invalid_arg "Harness.Env.with_deadline_us: deadline must be positive"
-    | _ -> ());
-    { t with deadline_us = d }
-
-  let with_flow f t = { t with flow = f }
-
-  (* Fold the deprecated per-driver keywords over [?env]: an explicitly
-     passed keyword wins, otherwise the env field stands. Exposed so the
-     shim semantics can be property-tested directly. [batching],
-     [deadline_us] and [flow] predate no keyword, so they pass through. *)
-  let resolve ?env ?chaos ?disk_faults ?failover ?trace ?check ?reshard () =
-    let e = Option.value env ~default in
-    {
-      chaos = (match chaos with Some _ -> chaos | None -> e.chaos);
-      disk_faults =
-        (match disk_faults with Some _ -> disk_faults | None -> e.disk_faults);
-      failover = Option.value failover ~default:e.failover;
-      trace = Option.value trace ~default:e.trace;
-      check = Option.value check ~default:e.check;
-      reshard = Option.value reshard ~default:e.reshard;
-      batching = e.batching;
-      deadline_us = e.deadline_us;
-      flow = e.flow;
-    }
-end
-
-let resolve_env = Env.resolve
-
-let apply_batching env net = Sim.Net.set_batching net env.Env.batching
-
-(* Build the run's retry bucket (if the policy asks for one) on the run's
-   engine — returned so the driver can read taken/denied after the run. *)
-let flow_budget env engine =
-  match env.Env.flow with
-  | None -> None
-  | Some f ->
-    Option.map
-      (fun (capacity, refill_period_us) ->
-        Sim.Rpc.Budget.create engine ~capacity ~refill_period_us)
-      f.fl_budget
-
-let apply_flow_spanner env ~budget cluster =
-  match env.Env.flow with
-  | None -> ()
-  | Some f ->
-    Spanner.Cluster.set_admission cluster f.fl_admission;
-    Spanner.Cluster.set_drop_expired cluster f.fl_drop_expired;
-    if f.fl_hedge_us > 0 then
-      Spanner.Cluster.set_hedge_us cluster f.fl_hedge_us;
-    Spanner.Cluster.set_retry_budget cluster budget
-
-let apply_flow_gryff env ~budget cluster =
-  match env.Env.flow with
-  | None -> ()
-  | Some f ->
-    Gryff.Cluster.set_admission cluster f.fl_admission;
-    Gryff.Cluster.set_drop_expired cluster f.fl_drop_expired;
-    if f.fl_hedge_us > 0 then Gryff.Cluster.set_hedge_us cluster f.fl_hedge_us;
-    (match f.fl_gryff_fanout with
-    | Some fanout -> Gryff.Cluster.set_read_fanout cluster fanout
-    | None -> ());
-    Gryff.Cluster.set_retry_budget cluster budget
-
-(* Flow-control accounting — absent unless a protection is armed or fired,
-   mirroring the batch.* convention. Queue-depth samples follow the ×1000
-   histogram convention (see batch.size above): the printed table reads in
-   whole jobs. *)
-let flow_metrics reg ~armed ~budget ~stations ~expired ~shed ~abandoned
-    ~hedges ~hedge_wins =
-  if armed || expired > 0 || shed > 0 || abandoned > 0 || hedges > 0 then begin
-    let c name v = Obs.Metrics.add (Obs.Metrics.counter reg name) v in
-    c "flow.expired" expired;
-    c "flow.shed" shed;
-    c "flow.abandoned" abandoned;
-    c "flow.hedges" hedges;
-    c "flow.hedge_wins" hedge_wins;
-    (match budget with
-    | Some b ->
-      c "flow.budget.taken" (Sim.Rpc.Budget.taken b);
-      c "flow.budget.denied" (Sim.Rpc.Budget.denied b)
-    | None -> ());
-    let qd = Obs.Metrics.histogram reg "flow.queue_depth" in
-    let sj = Obs.Metrics.histogram reg "flow.sojourn_us" in
-    List.iter
-      (fun st ->
-        Array.iter
-          (fun d -> Stats.Recorder.add qd (d * 1000))
-          (Stats.Recorder.to_sorted_array (Sim.Station.queue_depths st));
-        Array.iter
-          (fun s -> Stats.Recorder.add sj s)
-          (Stats.Recorder.to_sorted_array (Sim.Station.sojourns st)))
-      stations
-  end
-
-let spanner_flow_metrics reg ~env ~budget cluster =
-  let fs = Spanner.Cluster.flow_stats cluster in
-  flow_metrics reg
-    ~armed:(env.Env.flow <> None)
-    ~budget
-    ~stations:(Spanner.Cluster.stations cluster)
-    ~expired:fs.Spanner.Cluster.expired ~shed:fs.Spanner.Cluster.shed
-    ~abandoned:fs.Spanner.Cluster.abandoned ~hedges:fs.Spanner.Cluster.hedges
-    ~hedge_wins:fs.Spanner.Cluster.hedge_wins
-
-let gryff_flow_metrics reg ~env ~budget cluster =
-  let fs = Gryff.Cluster.flow_stats cluster in
-  flow_metrics reg
-    ~armed:(env.Env.flow <> None)
-    ~budget
-    ~stations:(Gryff.Cluster.stations cluster)
-    ~expired:fs.Gryff.Cluster.expired ~shed:fs.Gryff.Cluster.shed
-    ~abandoned:fs.Gryff.Cluster.abandoned ~hedges:fs.Gryff.Cluster.hedges
-    ~hedge_wins:fs.Gryff.Cluster.hedge_wins
-
-(* The paper's §6.1 wide-area Retwis experiment: partly-open clients
-   (sessions at [arrival_rate_per_sec], stay probability 0.9, zero think
-   time, a fresh t_min per session), Zipfian keys. *)
-let spanner_wan ?(config = None) ?env ?chaos ?disk_faults ?failover ?trace
-    ?check ?reshard ~mode ~theta ~n_keys ~arrival_rate_per_sec ~duration_s
-    ~seed () =
-  let env =
-    resolve_env ?env ?chaos ?disk_faults ?failover ?trace ?check ?reshard ()
-  in
-  let chaos = env.Env.chaos in
-  let disk_faults = env.Env.disk_faults in
-  let failover = env.Env.failover in
-  let trace = env.Env.trace in
-  let check = env.Env.check in
-  let reshard = env.Env.reshard in
-  let engine = Sim.Engine.create () in
-  let rng = Sim.Rng.make seed in
-  let dctl = Chaos.Audit.install_disk_faults disk_faults in
-  Fun.protect ~finally:(fun () -> Option.iter Sim.Durable.Faults.retire dctl)
-  @@ fun () ->
+(* §6.1: partly-open sessions at [arrival_rate_per_sec], stay probability
+   0.9, zero think time, a fresh t_min per session; Zipfian keys. *)
+let spanner_wan ?(config = None) ?(env = Env.default) ~mode ~theta ~n_keys
+    ~arrival_rate_per_sec ~duration_s ~seed () =
   let config =
     match config with Some c -> c | None -> Spanner.Config.wan3 ~mode ()
   in
-  let cluster = Spanner.Cluster.create engine ~rng config in
-  apply_batching env (Spanner.Cluster.net cluster);
-  let budget = flow_budget env engine in
-  apply_flow_spanner env ~budget cluster;
-  if Obs.Trace.enabled trace then Spanner.Cluster.set_tracer cluster trace;
-  if failover then
-    Spanner.Cluster.enable_failover cluster
-      ~rng:(Sim.Rng.make (0xfa11 + seed))
-      ~until_us:(Sim.Engine.sec duration_s + Sim.Engine.sec 4.0) ();
-  (* The failover fallback deadline exists to settle operations orphaned by
-     a coordinator crash, not to bound normal latency — it must sit well
-     above the workload's fault-free tail or deadline-aborts amplify load
-     into congestion collapse. An explicit [Env.deadline_us] overrides it:
-     that is the knob the overload experiments turn, with servers dropping
-     already-expired work when [flow.fl_drop_expired] is armed. *)
-  let deadline_us =
-    match env.Env.deadline_us with
-    | Some _ as d -> d
-    | None -> if failover then Some 10_000_000 else None
-  in
-  let faults =
-    arm_chaos ?chaos ~tracer:trace ?dctl
-      ~on_recover:(fun ss ->
-        if List.mem 0 ss then
-          ignore (Place.Directory.recover (Spanner.Cluster.directory cluster)))
-      ~on_slow:(fun ~site ~factor ->
-        Spanner.Cluster.set_site_slowdown cluster ~site ~factor)
-      ~on_slow_clear:(fun () -> Spanner.Cluster.clear_slowdowns cluster)
-      ~engine ~net:(Spanner.Cluster.net cluster)
-      ~tt:(Spanner.Cluster.truetime cluster) ()
-  in
-  let scrub =
-    Chaos.Audit.arm_scrub engine ~tracer:trace ~dctl ~disk_faults ~duration_s
-  in
-  let online =
-    match check with `Online -> Some (arm_spanner_online cluster) | _ -> None
-  in
-  let pending : pending_rw list ref = ref [] in
-  let retwis = Workload.Retwis.create ~rng:(Sim.Rng.split rng) ~n_keys ~theta in
-  let ro = Stats.Recorder.create () and rw = Stats.Recorder.create () in
-  let n_sites = Array.length config.Spanner.Config.client_sites in
-  let sessions : (int, Spanner.Client.t) Hashtbl.t = Hashtbl.create 1024 in
-  let session_client s =
-    match Hashtbl.find_opt sessions s with
-    | Some c -> c
-    | None ->
-      let c =
-        Spanner.Client.create cluster
-          ~site:config.Spanner.Config.client_sites.(s mod n_sites)
-      in
-      Hashtbl.add sessions s c;
-      c
-  in
-  let until = Sim.Engine.sec duration_s in
-  let warmup = Sim.Engine.sec (duration_s /. 10.0) in
-  List.iter
-    (fun spec ->
-      Sim.Engine.schedule engine ~kind:"place.reshard"
-        ~after:(int_of_float (spec.rs_at *. float_of_int until))
-        (fun () ->
-          Spanner.Cluster.migrate ~no_fence:spec.rs_no_fence cluster
-            ~lo:spec.rs_lo ~hi:spec.rs_hi ~dst:spec.rs_dst (fun _ -> ())))
-    reshard;
-  let body ~client k =
-    let c = session_client client in
-    let txn = Workload.Retwis.sample retwis in
-    let t0 = Sim.Engine.now engine in
-    let finish recorder () =
-      if t0 >= warmup then Stats.Recorder.add recorder (Sim.Engine.now engine - t0);
-      k ()
-    in
-    if Workload.Retwis.is_read_only txn then
-      Spanner.Client.ro ?deadline_us c ~keys:txn.Workload.Retwis.read_keys
-        (fun _ -> finish ro ())
-    else if chaos = None then
-      Spanner.Client.rw ?deadline_us c ~read_keys:txn.Workload.Retwis.read_keys
-        ~write_keys:txn.Workload.Retwis.write_keys (fun _ -> finish rw ())
-    else begin
-      (* Same fresh values Client.rw would pick; tracked so an attempt whose
-         acknowledgement a fault swallows can be swept into the history. *)
-      let writes =
-        List.map
-          (fun key -> (key, Spanner.Cluster.fresh_value cluster))
-          txn.Workload.Retwis.write_keys
-      in
-      let info =
-        {
-          pr_proc = Spanner.Client.proc c;
-          pr_inv = t0;
-          pr_writes = writes;
-          pr_last_txn = -1;
-          pr_done = false;
-        }
-      in
-      pending := info :: !pending;
-      Spanner.Client.rw_kv ?deadline_us c
-        ~on_attempt:(fun id -> info.pr_last_txn <- id)
-        ~read_keys:txn.Workload.Retwis.read_keys ~writes
-        (fun _ ->
-          info.pr_done <- true;
-          finish rw ())
-    end
-  in
-  ignore
-    (Workload.Client_model.partly_open engine ~rng:(Sim.Rng.split rng)
-       ~arrival_rate_per_sec ~stay:0.9 ~body ~until ());
-  Sim.Engine.run ~max_events:600_000_000 engine;
-  List.iter
-    (fun info ->
-      if (not info.pr_done) && info.pr_last_txn >= 0 then
-        ignore
-          (Chaos.Audit.sweep_spanner_txn cluster ~proc:info.pr_proc
-             ~inv:info.pr_inv ~writes:info.pr_writes ~txn:info.pr_last_txn))
-    (List.rev !pending);
-  let reg = spanner_metrics ~faults:!faults ~failover cluster in
-  spanner_flow_metrics reg ~env ~budget cluster;
-  durable_metrics reg ~dctl ~scrub;
-  let t0_check = Sys.time () in
-  let verdict =
-    match (check, online) with
-    | `No_check, _ -> Run.Unknown "checking disabled"
-    | `Online, Some oc -> Rss_core.Check_online.result oc
-    | `Online, None -> assert false
-    | `Offline, _ -> verdict_of_result (Spanner.Cluster.check_history cluster)
-  in
-  Obs.Metrics.set_gauge reg "check.finish_s" (Sys.time () -. t0_check);
-  (match online with
-  | Some oc ->
-    online_counters reg
-      ~added:(Rss_core.Check_online.n_added oc)
-      ~work:(Rss_core.Check_online.work oc)
-      ~max_displacement:(Rss_core.Check_online.max_displacement oc)
-  | None -> ());
-  {
-    Run.latencies = [ ("ro", ro); ("rw", rw) ];
-    metrics = Obs.Metrics.snapshot reg;
-    check = verdict;
-    records = Run.Spanner_txns (Spanner.Cluster.records cluster);
-    duration_us = Sim.Engine.now engine;
-  }
+  Chaos.Driver.spanner
+    (Chaos.Driver.spanner_deployment config ~theta ~n_keys)
+    (Chaos.Driver.Partly_open { rate = arrival_rate_per_sec; stay = 0.9 })
+    env ~duration_s ~seed
 
-(* The §6.2 single-data-center saturation experiment: closed-loop clients,
-   uniform keys, ε = 0, per-message CPU cost at shard leaders. *)
-let spanner_dc ?env ?chaos ?trace ?check ~mode ~n_shards ~service_time_us
+(* §6.2: closed-loop clients, uniform keys, ε = 0, per-message CPU cost at
+   shard leaders. *)
+let spanner_dc ?(env = Env.default) ~mode ~n_shards ~service_time_us
     ~n_clients ~n_keys ~duration_s ~seed () =
-  let env = resolve_env ?env ?chaos ?trace ?check () in
-  let chaos = env.Env.chaos in
-  let trace = env.Env.trace in
-  let check = env.Env.check in
-  let engine = Sim.Engine.create () in
-  let rng = Sim.Rng.make seed in
-  let config = Spanner.Config.single_dc ~mode ~n_shards ~service_time_us () in
-  let cluster = Spanner.Cluster.create engine ~rng config in
-  apply_batching env (Spanner.Cluster.net cluster);
-  let budget = flow_budget env engine in
-  apply_flow_spanner env ~budget cluster;
-  let deadline_us = env.Env.deadline_us in
-  if Obs.Trace.enabled trace then Spanner.Cluster.set_tracer cluster trace;
-  let faults =
-    arm_chaos ?chaos ~tracer:trace ~engine ~net:(Spanner.Cluster.net cluster)
-      ~on_slow:(fun ~site ~factor ->
-        Spanner.Cluster.set_site_slowdown cluster ~site ~factor)
-      ~on_slow_clear:(fun () -> Spanner.Cluster.clear_slowdowns cluster)
-      ~tt:(Spanner.Cluster.truetime cluster) ()
-  in
-  let online =
-    match check with `Online -> Some (arm_spanner_online cluster) | _ -> None
-  in
-  let pending : pending_rw list ref = ref [] in
-  let retwis = Workload.Retwis.create ~rng:(Sim.Rng.split rng) ~n_keys ~theta:0.0 in
-  let lat = Stats.Recorder.create () in
-  let completed = ref 0 in
-  let until = Sim.Engine.sec duration_s in
-  let warmup = Sim.Engine.sec (duration_s /. 5.0) in
-  let clients = Array.init n_clients (fun _ -> Spanner.Client.create cluster ~site:0) in
-  Workload.Client_model.closed_loop engine ~n_clients
-    ~body:(fun ~client k ->
-      let c = clients.(client) in
-      let txn = Workload.Retwis.sample retwis in
-      let t0 = Sim.Engine.now engine in
-      let finish () =
-        if t0 >= warmup && t0 < until then begin
-          incr completed;
-          Stats.Recorder.add lat (Sim.Engine.now engine - t0)
-        end;
-        k ()
-      in
-      if Workload.Retwis.is_read_only txn then
-        Spanner.Client.ro ?deadline_us c ~keys:txn.Workload.Retwis.read_keys
-          (fun _ -> finish ())
-      else if chaos = None then
-        Spanner.Client.rw ?deadline_us c ~read_keys:txn.Workload.Retwis.read_keys
-          ~write_keys:txn.Workload.Retwis.write_keys (fun _ -> finish ())
-      else begin
-        let writes =
-          List.map
-            (fun key -> (key, Spanner.Cluster.fresh_value cluster))
-            txn.Workload.Retwis.write_keys
-        in
-        let info =
-          { pr_proc = Spanner.Client.proc c; pr_inv = t0; pr_writes = writes;
-            pr_last_txn = -1; pr_done = false }
-        in
-        pending := info :: !pending;
-        Spanner.Client.rw_kv ?deadline_us c
-          ~on_attempt:(fun id -> info.pr_last_txn <- id)
-          ~read_keys:txn.Workload.Retwis.read_keys ~writes
-          (fun _ ->
-            info.pr_done <- true;
-            finish ())
-      end)
-    ~until ();
-  Sim.Engine.run ~max_events:600_000_000 engine;
-  List.iter
-    (fun info ->
-      if (not info.pr_done) && info.pr_last_txn >= 0 then
-        ignore
-          (Chaos.Audit.sweep_spanner_txn cluster ~proc:info.pr_proc
-             ~inv:info.pr_inv ~writes:info.pr_writes ~txn:info.pr_last_txn))
-    (List.rev !pending);
-  let measured_us = until - warmup in
-  let reg = spanner_metrics ~faults:!faults ~failover:false cluster in
-  spanner_flow_metrics reg ~env ~budget cluster;
-  let stats = Spanner.Cluster.stats cluster in
-  let total_txns =
-    stats.Spanner.Cluster.rw_committed + stats.Spanner.Cluster.ro_count
-  in
-  Obs.Metrics.set_gauge reg "throughput_tps"
-    (Stats.Summary.throughput ~count:!completed ~duration_us:measured_us);
-  Obs.Metrics.set_gauge reg "p50_ms"
-    (match Stats.Recorder.percentile_ms_opt lat 50.0 with
-    | Some m -> m
-    | None -> Float.nan);
-  Obs.Metrics.set_gauge reg "msgs_per_txn"
-    (if total_txns = 0 then 0.0
-     else
-       float_of_int stats.Spanner.Cluster.messages /. float_of_int total_txns);
-  let t0_check = Sys.time () in
-  let verdict =
-    match (check, online) with
-    | `No_check, _ -> Run.Unknown "checking disabled"
-    | `Online, Some oc -> Rss_core.Check_online.result oc
-    | `Online, None -> assert false
-    | `Offline, _ -> verdict_of_result (Spanner.Cluster.check_history cluster)
-  in
-  Obs.Metrics.set_gauge reg "check.finish_s" (Sys.time () -. t0_check);
-  (match online with
-  | Some oc ->
-    online_counters reg
-      ~added:(Rss_core.Check_online.n_added oc)
-      ~work:(Rss_core.Check_online.work oc)
-      ~max_displacement:(Rss_core.Check_online.max_displacement oc)
-  | None -> ());
-  {
-    Run.latencies = [ ("txn", lat) ];
-    metrics = Obs.Metrics.snapshot reg;
-    check = verdict;
-    records = Run.Spanner_txns (Spanner.Cluster.records cluster);
-    duration_us = Sim.Engine.now engine;
-  }
+  Chaos.Driver.spanner
+    {
+      (Chaos.Driver.spanner_deployment
+         (Spanner.Config.single_dc ~mode ~n_shards ~service_time_us ())
+         ~theta:0.0 ~n_keys) with
+      Chaos.Driver.sp_window = Chaos.Driver.Saturation;
+    }
+    (Chaos.Driver.Closed { n_clients })
+    env ~duration_s ~seed
 
-type pending_write = {
-  pw_proc : int;
-  pw_inv : int;
-  pw_key : int;
-  pw_value : int;
-  mutable pw_cs : Gryff.Carstamp.t option;
-  mutable pw_done : bool;
-}
-
-let sweep_gryff cluster pending =
-  List.iter
-    (fun info ->
-      match (info.pw_done, info.pw_cs) with
-      | false, Some cs ->
-        Chaos.Audit.sweep_gryff_write cluster ~proc:info.pw_proc
-          ~inv:info.pw_inv ~key:info.pw_key ~value:info.pw_value ~cs
-      | _ -> ())
-    (List.rev pending)
-
-(* The §7.2 YCSB experiment: 16 closed-loop clients spread over five
-   regions, tunable conflict percentage and write ratio. [client_sites]
-   restricts where clients run (e.g. off a gray node); the default spreads
-   them over all five regions exactly as before. *)
-let gryff_wan ?(n_clients = 16) ?(client_sites = [| 0; 1; 2; 3; 4 |]) ?env
-    ?chaos ?disk_faults ?failover ?trace ?check ~mode ~conflict ~write_ratio
-    ~n_keys ~duration_s ~seed () =
-  let env = resolve_env ?env ?chaos ?disk_faults ?failover ?trace ?check () in
-  let chaos = env.Env.chaos in
-  let disk_faults = env.Env.disk_faults in
-  let failover = env.Env.failover in
-  let trace = env.Env.trace in
-  let check = env.Env.check in
-  let engine = Sim.Engine.create () in
-  let rng = Sim.Rng.make seed in
-  (* Gryff keeps no durable stores; the control registers nothing, but
-     accepting the spec keeps chaos batteries uniform across protocols. *)
-  let dctl = Chaos.Audit.install_disk_faults disk_faults in
-  Fun.protect ~finally:(fun () -> Option.iter Sim.Durable.Faults.retire dctl)
-  @@ fun () ->
-  let config = Gryff.Config.wan5 ~mode () in
-  let cluster = Gryff.Cluster.create engine ~rng config in
-  apply_batching env (Gryff.Cluster.net cluster);
-  let budget = flow_budget env engine in
-  apply_flow_gryff env ~budget cluster;
-  let deadline_us = env.Env.deadline_us in
-  if Obs.Trace.enabled trace then Gryff.Cluster.set_tracer cluster trace;
-  if failover then
-    Gryff.Cluster.enable_retrans cluster ~rng:(Sim.Rng.make (0xfa11 + seed)) ();
-  let faults =
-    arm_chaos ?chaos ~tracer:trace ?dctl ~engine
-      ~on_slow:(fun ~site ~factor ->
-        Gryff.Cluster.set_site_slowdown cluster ~site ~factor)
-      ~on_slow_clear:(fun () -> Gryff.Cluster.clear_slowdowns cluster)
-      ~net:(Gryff.Cluster.net cluster) ()
-  in
-  let scrub =
-    Chaos.Audit.arm_scrub engine ~tracer:trace ~dctl ~disk_faults ~duration_s
-  in
-  let online =
-    match check with `Online -> Some (arm_gryff_online cluster) | _ -> None
-  in
-  let pending : pending_write list ref = ref [] in
-  let ycsb = Workload.Ycsb.create ~rng:(Sim.Rng.split rng) ~n_keys ~write_ratio ~conflict in
-  let read_lat = Stats.Recorder.create () and write_lat = Stats.Recorder.create () in
-  let until = Sim.Engine.sec duration_s in
-  let warmup = Sim.Engine.sec (duration_s /. 10.0) in
-  let clients =
-    Array.init n_clients (fun i ->
-        Gryff.Client.create cluster
-          ~site:client_sites.(i mod Array.length client_sites))
-  in
-  Workload.Client_model.closed_loop engine ~n_clients
-    ~body:(fun ~client k ->
-      let c = clients.(client) in
-      let op = Workload.Ycsb.sample ycsb in
-      let t0 = Sim.Engine.now engine in
-      let finish recorder () =
-        if t0 >= warmup then Stats.Recorder.add recorder (Sim.Engine.now engine - t0);
-        k ()
-      in
-      if op.Workload.Ycsb.is_write then begin
-        let value = Gryff.Cluster.fresh_value cluster in
-        if chaos = None then
-          Gryff.Client.write ?deadline_us c ~key:op.Workload.Ycsb.key ~value
-            (fun _ -> finish write_lat ())
-        else begin
-          let info =
-            { pw_proc = Gryff.Client.proc c; pw_inv = t0;
-              pw_key = op.Workload.Ycsb.key; pw_value = value;
-              pw_cs = None; pw_done = false }
-          in
-          pending := info :: !pending;
-          Gryff.Client.write ?deadline_us c
-            ~on_apply:(fun cs -> info.pw_cs <- Some cs)
-            ~key:op.Workload.Ycsb.key ~value:info.pw_value
-            (fun _ ->
-              info.pw_done <- true;
-              finish write_lat ())
-        end
-      end
-      else
-        Gryff.Client.read ?deadline_us c ~key:op.Workload.Ycsb.key (fun _ ->
-            finish read_lat ()))
-    ~until ();
-  Sim.Engine.run ~max_events:600_000_000 engine;
-  sweep_gryff cluster !pending;
-  let reg = gryff_metrics ~faults:!faults ~failover cluster in
-  gryff_flow_metrics reg ~env ~budget cluster;
-  durable_metrics reg ~dctl ~scrub;
-  let t0_check = Sys.time () in
-  let verdict =
-    match (check, online) with
-    | `No_check, _ -> Run.Unknown "checking disabled"
-    | `Online, Some tbl -> gryff_online_result tbl
-    | `Online, None -> assert false
-    | `Offline, _ -> verdict_of_result (Gryff.Cluster.check_history cluster)
-  in
-  Obs.Metrics.set_gauge reg "check.finish_s" (Sys.time () -. t0_check);
-  (match online with
-  | Some tbl ->
-    let added, work, max_displacement = gryff_online_stats tbl in
-    online_counters reg ~added ~work ~max_displacement
-  | None -> ());
-  {
-    Run.latencies = [ ("read", read_lat); ("write", write_lat) ];
-    metrics = Obs.Metrics.snapshot reg;
-    check = verdict;
-    records = Run.Gryff_ops (Gryff.Cluster.records cluster);
-    duration_us = Sim.Engine.now engine;
-  }
-
-(* The §7.4 overhead experiment: in-DC latencies, per-message CPU cost. *)
-let gryff_dc ?env ?chaos ?trace ?check ~mode ~service_time_us ~n_clients
+(* §7.2: closed-loop clients spread over the five regions (or over
+   [client_sites], e.g. off a gray node). *)
+let gryff_wan ?(n_clients = 16) ?client_sites ?(env = Env.default) ~mode
     ~conflict ~write_ratio ~n_keys ~duration_s ~seed () =
-  let env = resolve_env ?env ?chaos ?trace ?check () in
-  let chaos = env.Env.chaos in
-  let trace = env.Env.trace in
-  let check = env.Env.check in
-  let engine = Sim.Engine.create () in
-  let rng = Sim.Rng.make seed in
-  let config = Gryff.Config.single_dc ~mode ~service_time_us () in
-  let cluster = Gryff.Cluster.create engine ~rng config in
-  apply_batching env (Gryff.Cluster.net cluster);
-  let budget = flow_budget env engine in
-  apply_flow_gryff env ~budget cluster;
-  let deadline_us = env.Env.deadline_us in
-  if Obs.Trace.enabled trace then Gryff.Cluster.set_tracer cluster trace;
-  let faults =
-    arm_chaos ?chaos ~tracer:trace ~engine
-      ~on_slow:(fun ~site ~factor ->
-        Gryff.Cluster.set_site_slowdown cluster ~site ~factor)
-      ~on_slow_clear:(fun () -> Gryff.Cluster.clear_slowdowns cluster)
-      ~net:(Gryff.Cluster.net cluster) ()
+  let d =
+    Chaos.Driver.gryff_deployment (Gryff.Config.wan5 ~mode ()) ~conflict
+      ~write_ratio ~n_keys
   in
-  let online =
-    match check with `Online -> Some (arm_gryff_online cluster) | _ -> None
+  let d =
+    match client_sites with
+    | Some s -> { d with Chaos.Driver.gr_sites = s }
+    | None -> d
   in
-  let pending : pending_write list ref = ref [] in
-  let ycsb = Workload.Ycsb.create ~rng:(Sim.Rng.split rng) ~n_keys ~write_ratio ~conflict in
-  let lat = Stats.Recorder.create () in
-  let completed = ref 0 in
-  let until = Sim.Engine.sec duration_s in
-  let warmup = Sim.Engine.sec (duration_s /. 5.0) in
-  let clients = Array.init n_clients (fun i -> Gryff.Client.create cluster ~site:(i mod 5)) in
-  Workload.Client_model.closed_loop engine ~n_clients
-    ~body:(fun ~client k ->
-      let c = clients.(client) in
-      let op = Workload.Ycsb.sample ycsb in
-      let t0 = Sim.Engine.now engine in
-      let finish () =
-        if t0 >= warmup && t0 < until then begin
-          incr completed;
-          Stats.Recorder.add lat (Sim.Engine.now engine - t0)
-        end;
-        k ()
-      in
-      if op.Workload.Ycsb.is_write then begin
-        let value = Gryff.Cluster.fresh_value cluster in
-        if chaos = None then
-          Gryff.Client.write ?deadline_us c ~key:op.Workload.Ycsb.key ~value
-            (fun _ -> finish ())
-        else begin
-          let info =
-            { pw_proc = Gryff.Client.proc c; pw_inv = t0;
-              pw_key = op.Workload.Ycsb.key; pw_value = value;
-              pw_cs = None; pw_done = false }
-          in
-          pending := info :: !pending;
-          Gryff.Client.write ?deadline_us c
-            ~on_apply:(fun cs -> info.pw_cs <- Some cs)
-            ~key:op.Workload.Ycsb.key ~value:info.pw_value
-            (fun _ ->
-              info.pw_done <- true;
-              finish ())
-        end
-      end
-      else
-        Gryff.Client.read ?deadline_us c ~key:op.Workload.Ycsb.key (fun _ ->
-            finish ()))
-    ~until ();
-  Sim.Engine.run ~max_events:600_000_000 engine;
-  sweep_gryff cluster !pending;
-  let measured_us = until - warmup in
-  let reg = gryff_metrics ~faults:!faults ~failover:false cluster in
-  gryff_flow_metrics reg ~env ~budget cluster;
-  Obs.Metrics.set_gauge reg "throughput_tps"
-    (Stats.Summary.throughput ~count:!completed ~duration_us:measured_us);
-  Obs.Metrics.set_gauge reg "p50_ms"
-    (match Stats.Recorder.percentile_ms_opt lat 50.0 with
-    | Some m -> m
-    | None -> Float.nan);
-  let t0_check = Sys.time () in
-  let verdict =
-    match (check, online) with
-    | `No_check, _ -> Run.Unknown "checking disabled"
-    | `Online, Some tbl -> gryff_online_result tbl
-    | `Online, None -> assert false
-    | `Offline, _ -> verdict_of_result (Gryff.Cluster.check_history cluster)
-  in
-  Obs.Metrics.set_gauge reg "check.finish_s" (Sys.time () -. t0_check);
-  (match online with
-  | Some tbl ->
-    let added, work, max_displacement = gryff_online_stats tbl in
-    online_counters reg ~added ~work ~max_displacement
-  | None -> ());
-  {
-    Run.latencies = [ ("op", lat) ];
-    metrics = Obs.Metrics.snapshot reg;
-    check = verdict;
-    records = Run.Gryff_ops (Gryff.Cluster.records cluster);
-    duration_us = Sim.Engine.now engine;
-  }
+  Chaos.Driver.gryff d (Chaos.Driver.Closed { n_clients }) env ~duration_s ~seed
 
-let report_check name = function
-  | Run.Pass -> ()
-  | Run.Fail m ->
-    Fmt.pr "  !! %s: consistency violation in run history: %s@." name m
-  | Run.Unknown m ->
-    Fmt.pr "  ?? %s: consistency verdict unknown: %s@." name m
+(* §7.4: in-DC latencies, per-message CPU cost. *)
+let gryff_dc ?(env = Env.default) ~mode ~service_time_us ~n_clients ~conflict
+    ~write_ratio ~n_keys ~duration_s ~seed () =
+  Chaos.Driver.gryff
+    {
+      (Chaos.Driver.gryff_deployment
+         (Gryff.Config.single_dc ~mode ~service_time_us ())
+         ~conflict ~write_ratio ~n_keys) with
+      Chaos.Driver.gr_window = Chaos.Driver.Saturation;
+    }
+    (Chaos.Driver.Closed { n_clients })
+    env ~duration_s ~seed
+
+let report_check = Run.report_check

@@ -1,247 +1,60 @@
-(** Experiment drivers shared by the benchmark harness (bench/) and the CLI
-    (bin/): run one configured simulation to completion and return a single
-    {!Run.t} — latency recorders, a metrics-registry snapshot, the run's
-    history, and the history-verification verdict.
+(** The paper's experiments, as presets over the one driver per protocol
+    ({!Chaos.Driver.spanner} / {!Chaos.Driver.gryff}). Each preset picks a
+    deployment and a load — partly-open sessions, closed-loop clients or
+    timeout-respawning slots — and runs it under the caller's {!Env.t};
+    every preset returns one {!Run.t}: latency recorders, a
+    metrics-registry snapshot, the run's history and the verdict of
+    checking it (a bench that produced an inconsistent run would be
+    measuring a broken system).
 
-    Every driver takes an optional [?chaos] fault schedule. With one armed,
-    the driver (a) injects the schedule's faults into the run's network and
-    TrueTime, (b) tracks in-flight writes so attempts whose acknowledgement
-    a fault swallowed can be swept into the history before checking (see
-    {!Chaos.Audit}), and (c) reports fault accounting in the run's metrics.
+    Every {!Env.t} field applies to every preset: a chaos schedule is
+    injected into the run's network and TrueTime with in-flight writes
+    tracked and swept into the history when a fault swallows their
+    acknowledgement; disk faults, failover, batching, deadlines and flow
+    protections arm the cluster before traffic flows; tracing is passive
+    and never moves the seeded schedule. Runs that need a live reshard or
+    a non-default deployment call the drivers directly. *)
 
-    Every driver also takes an optional [?trace] span sink
-    ({!Obs.Trace.t}, default disabled). Tracing is passive — it never draws
-    randomness or schedules events — so a traced run follows the exact
-    seeded schedule of an untraced one. *)
+module Run = Chaos.Driver.Run
+module Env = Chaos.Driver.Env
 
-module Run : sig
-  (** The run's execution history, protocol-shaped. *)
-  type history =
-    | Spanner_txns of Rss_core.Witness.txn array
-    | Gryff_ops of Gryff.Cluster.record array
-
-  (** The consistency verdict. [Unknown] surfaces exhausted checker budgets
-      (and [`No_check] runs) as a value — a budget can silence the checker
-      but never make it wrong. *)
-  type verdict = Rss_core.Check_online.verdict =
-    | Pass
-    | Fail of string
-    | Unknown of string
-
-  type t = {
-    latencies : (string * Stats.Recorder.t) list;
-        (** named recorders in µs, e.g. [["ro"; "rw"]] for Spanner WAN runs,
-            [["read"; "write"]] for Gryff WAN runs, one recorder for the
-            single-DC saturation drivers *)
-    metrics : Obs.Metrics.snapshot;
-        (** protocol / network / fault / failover counters and gauges
-            (single-DC drivers add ["throughput_tps"], ["p50_ms"], ...; all
-            drivers add ["check.finish_s"], online-checked runs add
-            ["check.added"], ["check.work"], ["check.max_displacement"]) *)
-    check : verdict;
-    records : history;
-    duration_us : int;  (** simulated time at which the engine drained *)
-  }
-
-  val passed : t -> bool
-  (** [check = Pass]. *)
-
-  val latency : t -> string -> Stats.Recorder.t
-  (** Recorder by name; an empty recorder when absent. *)
-
-  val counter : t -> string -> int
-  (** Metric counter by name; [0] when absent. *)
-
-  val gauge : t -> string -> float
-  (** Metric gauge by name; [nan] when absent. *)
-
-  val gauge_opt : t -> string -> float option
-  (** Like {!gauge} but [None] when the gauge is absent {e or} NaN (e.g. a
-      p50 over an empty recorder) — so callers render "n/a" instead of
-      leaking [nan] into tables and jq comparisons. *)
-
-  val latency_opt : t -> string -> Stats.Recorder.t option
-  (** Like {!latency} but [None] when the recorder is absent or empty. *)
-
-  val completed : t -> int
-  (** Total recorded (post-warm-up) operations across all recorders. *)
-
-  val n_records : t -> int
-
-  val print_latencies : ?header:string -> t -> unit
-
-  val print_metrics : ?header:string -> t -> unit
-
-  val print_summary : ?header:string -> t -> unit
-  (** Latency table, metrics table, and a loud warning if the run's history
-      failed verification. *)
-end
-
-type check_mode = [ `Offline | `Online | `No_check ]
-(** How a driver verifies its history. [`Offline] (the default) buffers the
-    run and checks post-hoc, exactly as before. [`Online] feeds every record
-    into {!Rss_core.Check_online} as it happens, so million-op histories
-    verify in near-linear time and the run's peak memory excludes the
-    post-hoc sort. [`No_check] skips verification (the verdict is
-    [Unknown]) — for benchmarking raw simulator speed. The mode never
-    affects the simulation itself: record hooks draw no randomness and
-    schedule no events, so seeded traces are identical across modes. *)
-
-type reshard_spec = {
-  rs_at : float;  (** when to start, as a fraction of the run's duration *)
-  rs_lo : int;  (** key range [\[rs_lo, rs_hi)] to move *)
-  rs_hi : int;
-  rs_dst : int;  (** destination shard *)
-  rs_no_fence : bool;
-      (** skip the t_m real-time barrier — the {e unsafe} mutation control
-          used by safety experiments; production paths pass [false] *)
-}
-(** A live migration armed partway through a [spanner_wan] run. *)
-
-type flow_spec = {
-  fl_admission : Sim.Station.limits option;
-      (** bounded queues + load shedding at every server station (see
-          {!Spanner.Cluster.set_admission} / {!Gryff.Cluster.set_admission}) *)
-  fl_drop_expired : bool;
-      (** servers drop request legs whose riding deadline has already
-          passed at their projected service start — pair with
-          [Env.deadline_us] or nothing rides the envelopes *)
-  fl_hedge_us : int;
-      (** hedge reads still unfinished after this many µs (0 = off):
-          Spanner duplicates the RO read, Gryff widens a bare-quorum
-          fan-out — see [fl_gryff_fanout] *)
-  fl_budget : (int * int) option;
-      (** fleet-wide retry token bucket as [(capacity,
-          refill_period_us)]; a dry bucket turns retries of shed work into
-          fast-fails instead of amplification *)
-  fl_gryff_fanout : Gryff.Protocol.read_fanout option;
-      (** Gryff read fan-out policy ([None] keeps the protocol default,
-          [Fan_all]); Spanner drivers ignore it *)
-}
-(** The overload-protection policy a driver applies to its cluster before
-    any traffic flows. Every field off ({!flow_default}) reproduces the
-    unprotected run byte for byte. *)
-
-val flow_default : flow_spec
-(** No admission limits, no expiry drops, no hedging, no budget, default
-    fan-out. *)
-
-(** The cross-cutting run environment. Every driver used to take the same
-    six optional keywords ([?chaos ?disk_faults ?failover ?trace ?check
-    ?reshard]); they are one record now, built with {!Env.default} and the
-    [with_*] combinators:
-
-    {[ Harness.spanner_dc
-         ~env:Env.(default |> with_check `Online
-                   |> with_batching (Some policy)) ... ]}
-
-    The old keywords remain as thin deprecated shims for one release: an
-    explicitly passed keyword overrides the corresponding [env] field.
-    [batching] has no legacy keyword — it is reachable only through [Env]. *)
-module Env : sig
-  type t = {
-    chaos : Chaos.Schedule.t option;
-    disk_faults : Chaos.Audit.disk_faults option;
-    failover : bool;
-    trace : Obs.Trace.t;
-    check : check_mode;
-    reshard : reshard_spec list;
-        (** consumed by [spanner_wan] only; other drivers ignore it *)
-    batching : Sim.Net.policy option;
-        (** installed on the run's network before any traffic flows; [None]
-            keeps seeded schedules byte-identical to unbatched runs *)
-    deadline_us : int option;
-        (** client deadline put on every operation. [None] (the default)
-            keeps the historical behavior: no deadline, except the 10 s
-            failover fallback [spanner_wan] arms with [failover]. An
-            explicit value overrides that fallback too. *)
-    flow : flow_spec option;
-        (** overload protections applied to the cluster before any traffic
-            flows; [None] runs unprotected and byte-identical to before *)
-  }
-
-  val default : t
-  (** No chaos, no disk faults, no failover, tracing disabled, [`Offline]
-      checking, no reshard, batching off, no deadline, no flow policy. *)
-
-  val with_chaos : Chaos.Schedule.t -> t -> t
-  val with_disk_faults : Chaos.Audit.disk_faults -> t -> t
-  val with_failover : bool -> t -> t
-  val with_trace : Obs.Trace.t -> t -> t
-  val with_check : check_mode -> t -> t
-  val with_reshard : reshard_spec list -> t -> t
-  val with_batching : Sim.Net.policy option -> t -> t
-
-  val with_deadline_us : int option -> t -> t
-  (** Raises [Invalid_argument] on a non-positive deadline. *)
-
-  val with_flow : flow_spec option -> t -> t
-
-  val resolve :
-    ?env:t -> ?chaos:Chaos.Schedule.t -> ?disk_faults:Chaos.Audit.disk_faults ->
-    ?failover:bool -> ?trace:Obs.Trace.t -> ?check:check_mode ->
-    ?reshard:reshard_spec list -> unit -> t
-  (** The exact deprecated-keyword shim every driver applies: fold the
-      legacy keywords over [?env] (default {!default}), an explicitly
-      passed keyword winning over the corresponding field. [batching],
-      [deadline_us] and [flow] have no keyword, so they always pass
-      through. Exposed so the shim semantics can be property-tested —
-      drivers behave as if called with [~env:(resolve ?env ?chaos ... ())]
-      and no keywords. *)
-end
+type check_mode = Chaos.Driver.check_mode
+(** How a run verifies its history: [`Offline] (the default) checks
+    post-hoc, [`Online] feeds {!Rss_core.Check_online} as records arrive,
+    [`No_check] skips verification (verdict [Unknown]). The mode never
+    moves the simulation. *)
 
 val spanner_wan :
-  ?config:Spanner.Config.t option -> ?env:Env.t -> ?chaos:Chaos.Schedule.t ->
-  ?disk_faults:Chaos.Audit.disk_faults ->
-  ?failover:bool -> ?trace:Obs.Trace.t -> ?check:check_mode ->
-  ?reshard:reshard_spec list -> mode:Spanner.Config.mode ->
+  ?config:Spanner.Config.t option -> ?env:Env.t -> mode:Spanner.Config.mode ->
   theta:float -> n_keys:int -> arrival_rate_per_sec:float ->
   duration_s:float -> seed:int -> unit -> Run.t
-(** §6.1: Retwis over the CA/VA/IR deployment with partly-open clients
-    (a fresh session — and t_min — per arrival, stay probability 0.9).
-    The first 10% of the run is warm-up and is not recorded. [failover]
-    (default false) arms {!Spanner.Cluster.enable_failover} and puts client
-    deadlines on every operation — required for liveness under
-    leader-killing schedules. [reshard] (default none) arms live key-range
-    migrations via {!Spanner.Cluster.migrate}; reshard statistics land in
-    the run's [place.*] counters. [disk_faults] installs a
-    {!Sim.Durable.Faults} control before the cluster is built, ties storage
-    damage to the schedule's crash events, and arms the background scrub
-    pass; accounting lands in the run's [durable.*] counters.
-    Latencies: ["ro"], ["rw"]. *)
+(** §6.1: Retwis over the CA/VA/IR deployment (or [config]) with
+    partly-open clients — a fresh session, and t_min, per arrival, stay
+    probability 0.9. The first 10% of the run is warm-up and is not
+    recorded. Latencies: ["ro"], ["rw"]. *)
 
 val spanner_dc :
-  ?env:Env.t -> ?chaos:Chaos.Schedule.t -> ?trace:Obs.Trace.t ->
-  ?check:check_mode -> mode:Spanner.Config.mode ->
-  n_shards:int -> service_time_us:int -> n_clients:int -> n_keys:int ->
-  duration_s:float -> seed:int -> unit -> Run.t
-(** §6.2 saturation. Latencies: ["txn"]; gauges: ["throughput_tps"],
-    ["p50_ms"], ["msgs_per_txn"]. *)
+  ?env:Env.t -> mode:Spanner.Config.mode -> n_shards:int ->
+  service_time_us:int -> n_clients:int -> n_keys:int -> duration_s:float ->
+  seed:int -> unit -> Run.t
+(** §6.2 saturation: closed-loop clients over one site. Latencies:
+    ["txn"]; gauges: ["throughput_tps"], ["p50_ms"], ["msgs_per_txn"]. *)
 
 val gryff_wan :
   ?n_clients:int -> ?client_sites:int array -> ?env:Env.t ->
-  ?chaos:Chaos.Schedule.t ->
-  ?disk_faults:Chaos.Audit.disk_faults -> ?failover:bool ->
-  ?trace:Obs.Trace.t -> ?check:check_mode -> mode:Gryff.Config.mode ->
-  conflict:float ->
-  write_ratio:float -> n_keys:int -> duration_s:float -> seed:int -> unit ->
-  Run.t
-(** §7.2: YCSB over the five-region deployment, closed-loop clients.
-    [client_sites] restricts where clients run (e.g. off a slow-node
-    victim); the default spreads them over all five regions. [failover]
-    (default false) arms {!Gryff.Cluster.enable_retrans}. [disk_faults] is
-    accepted for battery uniformity — Gryff keeps no durable stores, so
-    the control registers nothing. Latencies: ["read"], ["write"]. *)
+  mode:Gryff.Config.mode -> conflict:float -> write_ratio:float ->
+  n_keys:int -> duration_s:float -> seed:int -> unit -> Run.t
+(** §7.2: YCSB over the five-region deployment, [n_clients] (default 16)
+    closed-loop clients spread over [client_sites] (default all five
+    regions). Latencies: ["read"], ["write"]. *)
 
 val gryff_dc :
-  ?env:Env.t -> ?chaos:Chaos.Schedule.t -> ?trace:Obs.Trace.t ->
-  ?check:check_mode -> mode:Gryff.Config.mode ->
-  service_time_us:int -> n_clients:int -> conflict:float ->
-  write_ratio:float -> n_keys:int -> duration_s:float -> seed:int -> unit ->
-  Run.t
+  ?env:Env.t -> mode:Gryff.Config.mode -> service_time_us:int ->
+  n_clients:int -> conflict:float -> write_ratio:float -> n_keys:int ->
+  duration_s:float -> seed:int -> unit -> Run.t
 (** §7.4 overhead. Latencies: ["op"]; gauges: ["throughput_tps"],
     ["p50_ms"]. *)
 
 val report_check : string -> Run.verdict -> unit
-(** Print a loud warning if a run's history failed verification (or an
-    unresolved-verdict note on [Unknown]). *)
+(** {!Run.report_check}: a loud [!!] warning if a run's history failed
+    verification, a [??] note on [Unknown]. *)

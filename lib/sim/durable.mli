@@ -139,6 +139,9 @@ module Faults : sig
 
   val default_spec : spec
 
+  val scale : float -> spec -> spec
+  (** Multiply every damage probability by the factor, capped at 1. *)
+
   val install : ?spec:spec -> ?integrity:bool -> seed:int -> unit -> ctl
   (** Install the ambient control: stores created from now on register with
       it. [integrity:false] builds stores whose {!read_verified} is blind

@@ -273,20 +273,20 @@ let test_audit_battery () =
             (Chaos.Audit.liveness_ok ~min_post_quiet:5 r);
           check int
             (label ^ ": every schedule event injected")
-            (List.length schedule) r.Chaos.Audit.faults_injected;
+            (List.length schedule) (Chaos.Audit.counter r "fault.injected");
           match kind with
           | "partition-heal" ->
             check bool (label ^ ": partition drops counted") true
-              (r.Chaos.Audit.dropped_partition > 0)
+              (Chaos.Audit.counter r "fault.dropped_partition" > 0)
           | "link-loss" ->
             check bool (label ^ ": loss drops counted") true
-              (r.Chaos.Audit.dropped_loss > 0)
+              (Chaos.Audit.counter r "fault.dropped_loss" > 0)
           | "crash-recover" ->
             check bool (label ^ ": crash drops counted") true
-              (r.Chaos.Audit.dropped_crash > 0)
+              (Chaos.Audit.counter r "fault.dropped_crash" > 0)
           | "latency-spike" ->
             check bool (label ^ ": delayed messages counted") true
-              (r.Chaos.Audit.delayed > 0)
+              (Chaos.Audit.counter r "fault.delayed" > 0)
           | _ -> ())
         (battery ~n))
     Chaos.Audit.protocols
@@ -305,13 +305,15 @@ let test_audit_determinism () =
   let a = go () and b = go () in
   check bool "histories byte-identical" true
     (String.equal a.Chaos.Audit.trace b.Chaos.Audit.trace);
-  check bool "history non-trivial" true (a.Chaos.Audit.history_len > 50);
+  check bool "history non-trivial" true (Chaos.Audit.counter a "op.history_records" > 50);
   check int "same message count" a.Chaos.Audit.msgs_sent b.Chaos.Audit.msgs_sent;
-  check int "same drop counts"
-    (a.Chaos.Audit.dropped_partition + a.Chaos.Audit.dropped_crash
-   + a.Chaos.Audit.dropped_loss)
-    (b.Chaos.Audit.dropped_partition + b.Chaos.Audit.dropped_crash
-   + b.Chaos.Audit.dropped_loss);
+  let drops r =
+    List.fold_left
+      (fun acc n -> acc + Chaos.Audit.counter r n)
+      0
+      [ "fault.dropped_partition"; "fault.dropped_crash"; "fault.dropped_loss" ]
+  in
+  check int "same drop counts" (drops a) (drops b);
   let c =
     Chaos.Audit.run Chaos.Audit.Spanner_rss
       ~schedule:
@@ -346,8 +348,16 @@ let test_spanner_quorum_ride_through () =
   List.iter
     (fun mode ->
       let r =
-        Chaos.Audit.spanner ~config:(spanner5 ~mode) ~mode ~schedule:crash_only
-          ~n_slots:8 ~duration_s:5.0 ~seed:3 ()
+        Chaos.Audit.of_run
+          (match mode with
+          | Spanner.Config.Strict -> Chaos.Audit.Spanner_strict
+          | Spanner.Config.Rss -> Chaos.Audit.Spanner_rss)
+          (Chaos.Driver.spanner
+             (Chaos.Driver.spanner_deployment (spanner5 ~mode) ~theta:0.5
+                ~n_keys:5_000)
+             (Chaos.Driver.Slots { n_slots = 8; timeout_us = 2_000_000 })
+             Chaos.Driver.Env.(default |> with_chaos crash_only)
+             ~duration_s:5.0 ~seed:3)
       in
       let label =
         match mode with Spanner.Config.Strict -> "strict" | Spanner.Config.Rss -> "rss"
@@ -358,26 +368,35 @@ let test_spanner_quorum_ride_through () =
       check int (label ^ ": no operation stalls on a minority crash") 0
         r.Chaos.Audit.ops_timed_out;
       check bool (label ^ ": commits continue during the crash") true
-        (r.Chaos.Audit.post_quiet_completed > 50);
+        (Chaos.Audit.counter r "op.post_heal_completed" > 50);
       check bool (label ^ ": the dead replica's traffic is dropped") true
-        (r.Chaos.Audit.dropped_crash > 0))
+        (Chaos.Audit.counter r "fault.dropped_crash" > 0))
     [ Spanner.Config.Strict; Spanner.Config.Rss ]
 
 let test_gryff_quorum_ride_through () =
   (* One of five replicas down: quorum 3 still reachable from the four
      surviving client sites, so reads and writes complete and RSC holds. *)
   let r =
-    Chaos.Audit.gryff ~mode:Gryff.Config.Rsc ~client_sites:[| 0; 1; 2; 3 |]
-      ~schedule:crash_only ~n_slots:8 ~duration_s:5.0 ~seed:3 ()
+    Chaos.Audit.of_run Chaos.Audit.Gryff_rsc
+      (Chaos.Driver.gryff
+         {
+           (Chaos.Driver.gryff_deployment
+              (Gryff.Config.wan5 ~mode:Gryff.Config.Rsc ())
+              ~conflict:0.1 ~write_ratio:0.3 ~n_keys:2_000) with
+           Chaos.Driver.gr_sites = [| 0; 1; 2; 3 |];
+         }
+         (Chaos.Driver.Slots { n_slots = 8; timeout_us = 2_000_000 })
+         Chaos.Driver.Env.(default |> with_chaos crash_only)
+         ~duration_s:5.0 ~seed:3)
   in
   (match r.Chaos.Audit.check with
   | Ok () -> ()
   | Error m -> Alcotest.failf "gryff-rsc under crash: %s" m);
   check int "no operation stalls on a minority crash" 0 r.Chaos.Audit.ops_timed_out;
   check bool "ops continue during the crash" true
-    (r.Chaos.Audit.post_quiet_completed > 100);
+    (Chaos.Audit.counter r "op.post_heal_completed" > 100);
   check bool "the dead replica's traffic is dropped" true
-    (r.Chaos.Audit.dropped_crash > 0)
+    (Chaos.Audit.counter r "fault.dropped_crash" > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Broken controls: the checkers must catch deliberate violations      *)
@@ -528,8 +547,9 @@ let test_failover_determinism () =
     (String.equal a.Chaos.Audit.trace b.Chaos.Audit.trace);
   check int "same view changes" a.Chaos.Audit.view_changes
     b.Chaos.Audit.view_changes;
-  check int "same rpc retries" a.Chaos.Audit.rpc_retries
-    b.Chaos.Audit.rpc_retries;
+  check int "same rpc retries"
+    (Chaos.Audit.counter a "failover.rpc_retries")
+    (Chaos.Audit.counter b "failover.rpc_retries");
   check bool "elections actually happened" true
     (a.Chaos.Audit.view_changes > 0);
   let c = go 5 in

@@ -136,20 +136,26 @@ let spanner_wan_armed () =
            (Chaos.Audit.default_disk_faults
               ?spec:(Chaos.Nemesis.disk_spec Chaos.Nemesis.Disk_tear)
               ~seed ())
-      |> with_reshard
-           [
-             {
-               Harness.rs_at = 0.4;
-               rs_lo = 0;
-               rs_hi = 250;
-               rs_dst = 1;
-               rs_no_fence = false;
-             };
-           ]
       |> with_check `No_check)
   in
-  Harness.spanner_wan ~env ~mode:Spanner.Config.Rss ~theta:0.75 ~n_keys:2_000
-    ~arrival_rate_per_sec:20.0 ~duration_s ~seed ()
+  Chaos.Driver.spanner
+    {
+      (Chaos.Driver.spanner_deployment
+         (Spanner.Config.wan3 ~mode:Spanner.Config.Rss ())
+         ~theta:0.75 ~n_keys:2_000) with
+      Chaos.Driver.sp_reshard =
+        [
+          {
+            Chaos.Driver.rs_at = 0.4;
+            rs_lo = 0;
+            rs_hi = 250;
+            rs_dst = 1;
+            rs_no_fence = false;
+          };
+        ];
+    }
+    (Chaos.Driver.Partly_open { rate = 20.0; stay = 0.9 })
+    env ~duration_s ~seed
 
 let gryff_dc_plain () =
   Harness.gryff_dc
@@ -176,55 +182,15 @@ let audit_counters =
     "durable.repair.place"; "durable.repair.unrepaired";
   ]
 
-(* The audit's counters under the names its report prints. *)
-let audit_metrics (r : Chaos.Audit.run) =
-  let open Chaos.Audit in
-  {
-    Obs.Metrics.counters =
-      List.map (fun (k, v) -> ("op.timed_out." ^ k, v)) r.timed_out_by_kind
-      @ [
-          ("op.completed", r.ops_completed);
-          ("op.timed_out", r.ops_timed_out);
-          ("op.post_heal_completed", r.post_quiet_completed);
-          ("op.post_heal_timed_out", r.post_quiet_timed_out);
-          ("op.aborted_attempts", r.aborted_attempts);
-          ("op.unacked_commits_swept", r.unacked_commits);
-          ("op.history_records", r.history_len);
-          ("fault.injected", r.faults_injected);
-          ("net.messages", r.msgs_sent);
-          ("fault.dropped_crash", r.dropped_crash);
-          ("fault.dropped_partition", r.dropped_partition);
-          ("fault.dropped_loss", r.dropped_loss);
-          ("fault.duplicated", r.duplicated);
-          ("fault.delayed", r.delayed);
-          ("failover.view_changes", r.view_changes);
-          ("failover.rpc_retries", r.rpc_retries);
-          ("failover.in_doubt_resolved", r.in_doubt_resolved);
-          ("failover.max_election_us", r.max_election_us);
-          ("place.migrations", r.migrations);
-          ("place.migration_retries", r.migration_retries);
-          ("place.redirects", r.redirects);
-          ("durable.fault.torn", r.disk_torn);
-          ("durable.fault.corrupt", r.disk_corrupt);
-          ("durable.fault.resurfaced", r.disk_resurfaced);
-          ("durable.fault.lost_ints", r.disk_lost_ints);
-          ("durable.fault.crashes", r.disk_crashes);
-          ("durable.scrub.passes", r.scrub_passes);
-          ("durable.scrub.entries", r.scrub_entries);
-          ("durable.scrub.flagged", r.scrub_flagged);
-          ("durable.repair.torn", r.repairs_torn);
-          ("durable.repair.quarantined", r.repairs_quarantined);
-          ("durable.repair.peer", r.repairs_peer);
-          ("durable.repair.place", r.place_repairs);
-          ("durable.repair.unrepaired", r.unrepaired);
-        ];
-    gauges = [];
-    histograms = [ ("ops", r.latency) ];
-  }
+(* The audit's counters under the names its report prints; the wound-wait
+   retry count is the record's [aborted_attempts] field. *)
+let audit_counter (r : Chaos.Audit.run) = function
+  | "op.aborted_attempts" -> r.Chaos.Audit.aborted_attempts
+  | n -> Chaos.Audit.counter r n
 
 let audit_digest (r : Chaos.Audit.run) =
-  let m = audit_metrics r in
-  let counter n = Obs.Metrics.counter_value m n in
+  let m = r.Chaos.Audit.metrics in
+  let counter = audit_counter r in
   let b = Buffer.create 65536 in
   (match r.Chaos.Audit.records with
   | Chaos.Audit.Spanner_records a -> add_spanner_history b a
@@ -310,8 +276,45 @@ let pins =
       fun () -> audit_digest (audit_gryff_rsc_unsafe ()) );
   ]
 
+(* {1 Every Env field reaches every preset} *)
+
+let spanner_dc env =
+  Harness.spanner_dc ~env ~mode:Spanner.Config.Rss ~n_shards:3
+    ~service_time_us:20 ~n_clients:8 ~n_keys:200 ~duration_s:1.0 ~seed:7 ()
+
+(* At the parent commit the single-DC presets dropped these fields. *)
+let test_dc_presets_honour_env () =
+  let r = spanner_dc Harness.Env.(default |> with_failover true) in
+  Alcotest.(check bool)
+    "spanner_dc failover: shard groups exchange heartbeats" true
+    (Harness.Run.counter r "failover.heartbeats" > 0);
+  Alcotest.(check bool) "spanner_dc failover run verified" true
+    (Harness.Run.passed r);
+  let r =
+    spanner_dc
+      Harness.Env.(
+        default |> with_disk_faults (Chaos.Audit.default_disk_faults ~seed:7 ()))
+  in
+  Alcotest.(check bool)
+    "spanner_dc disk faults: the background scrub runs" true
+    (Harness.Run.counter r "durable.scrub.passes" > 0);
+  let r =
+    Harness.gryff_dc
+      ~env:Harness.Env.(default |> with_failover true)
+      ~mode:Gryff.Config.Rsc ~service_time_us:10 ~n_clients:8 ~conflict:0.2
+      ~write_ratio:0.4 ~n_keys:200 ~duration_s:0.5 ~seed:5 ()
+  in
+  Alcotest.(check bool)
+    "gryff_dc failover: requests go through the retransmitting RPC layer" true
+    (Harness.Run.counter r "failover.rpc_calls" > 0)
+
 let suites =
   [
+    ( "driver.env",
+      [
+        Alcotest.test_case "single-DC presets honour failover and disk faults"
+          `Quick test_dc_presets_honour_env;
+      ] );
     ( "driver.golden",
       List.map
         (fun (name, golden, f) ->

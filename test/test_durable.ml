@@ -333,9 +333,10 @@ let test_torn_tail_recovery_converges () =
   (match r.Chaos.Audit.check with
   | Ok () -> ()
   | Error m -> Alcotest.failf "history failed under torn tails: %s" m);
-  check bool "tails torn" true (r.Chaos.Audit.disk_torn > 0);
-  check bool "torn suffixes repaired" true (r.Chaos.Audit.repairs_torn > 0);
-  check int "no member left quarantined" 0 r.Chaos.Audit.unrepaired
+  check bool "tails torn" true (Chaos.Audit.counter r "durable.fault.torn" > 0);
+  check bool "torn suffixes repaired" true (Chaos.Audit.counter r "durable.repair.torn" > 0);
+  check int "no member left quarantined" 0
+    (Chaos.Audit.counter r "durable.repair.unrepaired")
 
 let test_corruption_quarantined_and_peer_repaired () =
   let seed = 42 in
@@ -349,11 +350,12 @@ let test_corruption_quarantined_and_peer_repaired () =
   (match r.Chaos.Audit.check with
   | Ok () -> ()
   | Error m -> Alcotest.failf "history failed under mid-log corruption: %s" m);
-  check bool "writes misdirected" true (r.Chaos.Audit.disk_corrupt > 0);
-  check bool "members quarantined" true (r.Chaos.Audit.repairs_quarantined > 0);
+  check bool "writes misdirected" true (Chaos.Audit.counter r "durable.fault.corrupt" > 0);
+  check bool "members quarantined" true (Chaos.Audit.counter r "durable.repair.quarantined" > 0);
   check bool "peer state transfer repaired them" true
-    (r.Chaos.Audit.repairs_peer > 0);
-  check int "no member left quarantined" 0 r.Chaos.Audit.unrepaired
+    (Chaos.Audit.counter r "durable.repair.peer" > 0);
+  check int "no member left quarantined" 0
+    (Chaos.Audit.counter r "durable.repair.unrepaired")
 
 let test_integrity_disabled_control_caught () =
   (* Same damage against checksum-blind stores: recovery replays a
@@ -431,7 +433,8 @@ let test_armed_but_undamaged_is_byte_identical () =
   check bool "trace digests equal" true
     (Digest.string plain.Chaos.Audit.trace
     = Digest.string armed.Chaos.Audit.trace);
-  check int "no damage recorded" 0 armed.Chaos.Audit.disk_crashes
+  check int "no damage recorded" 0
+    (Chaos.Audit.counter armed "durable.fault.crashes")
 
 let suites =
   [

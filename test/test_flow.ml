@@ -162,7 +162,7 @@ let test_slowdown_scales_service () =
 
 let flow_off_env =
   Harness.Env.(
-    default |> with_check `No_check |> with_flow (Some Harness.flow_default))
+    default |> with_check `No_check |> with_flow (Some Chaos.Driver.flow_default))
 
 let digest_gryff ~env () =
   let r =

@@ -311,7 +311,12 @@ let test_profiling_is_passive () =
 (* ------------------------------------------------------------------ *)
 
 let spanner_run ?trace () =
-  Harness.spanner_wan ?trace ~mode:Spanner.Config.Rss ~theta:0.75 ~n_keys:5_000
+  let env =
+    match trace with
+    | Some tr -> Harness.Env.(default |> with_trace tr)
+    | None -> Harness.Env.default
+  in
+  Harness.spanner_wan ~env ~mode:Spanner.Config.Rss ~theta:0.75 ~n_keys:5_000
     ~arrival_rate_per_sec:30.0 ~duration_s:3.0 ~seed:11 ()
 
 let test_metrics_deterministic_across_seeds () =
@@ -402,7 +407,9 @@ let test_ro_span_decomposes_into_hops () =
 let test_gryff_traced_wan () =
   let tr = Obs.Trace.create () in
   let r =
-    Harness.gryff_wan ~trace:tr ~n_clients:4 ~mode:Gryff.Config.Rsc
+    Harness.gryff_wan
+      ~env:Harness.Env.(default |> with_trace tr)
+      ~n_clients:4 ~mode:Gryff.Config.Rsc
       ~conflict:0.1 ~write_ratio:0.3 ~n_keys:2_000 ~duration_s:2.0 ~seed:5 ()
   in
   check bool "run verified" true (Harness.Run.passed r);

@@ -123,19 +123,25 @@ let test_view_convergence_after_many_commits () =
 
 let reshard_run ?(no_fence = false) seed =
   let n_keys = 4_000 in
-  Harness.spanner_wan ~check:`Online
-    ~reshard:
-      [
-        {
-          Harness.rs_at = 0.45;
-          rs_lo = 0;
-          rs_hi = n_keys / 8;
-          rs_dst = 1;
-          rs_no_fence = no_fence;
-        };
-      ]
-    ~mode:Spanner.Config.Rss ~theta:0.9 ~n_keys ~arrival_rate_per_sec:60.0
-    ~duration_s:6.0 ~seed ()
+  Chaos.Driver.spanner
+    {
+      (Chaos.Driver.spanner_deployment
+         (Spanner.Config.wan3 ~mode:Spanner.Config.Rss ())
+         ~theta:0.9 ~n_keys) with
+      Chaos.Driver.sp_reshard =
+        [
+          {
+            Chaos.Driver.rs_at = 0.45;
+            rs_lo = 0;
+            rs_hi = n_keys / 8;
+            rs_dst = 1;
+            rs_no_fence = no_fence;
+          };
+        ];
+    }
+    (Chaos.Driver.Partly_open { rate = 60.0; stay = 0.9 })
+    Harness.Env.(default |> with_check `Online)
+    ~duration_s:6.0 ~seed
 
 let test_migrate_under_load_passes () =
   (* Three seeds: the fenced migration completes mid-workload with zero
