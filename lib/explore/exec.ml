@@ -126,7 +126,7 @@ let make_checker ~mode ~check_budget =
   else Rss_core.Check_online.create ~mode ()
 
 (* Registers are per-key: carstamp order is only meaningful within a key,
-   so each key gets its own online checker (mirroring the harness). Keys
+   so each key gets its own online checker (as in the driver). Keys
    are settled in sorted order so the combined verdict — in particular
    which key a Fail message names — is canonical. *)
 let judge ~protocol ~check_budget records =

@@ -1,7 +1,8 @@
 (** The paper's experiments, as presets over the one driver per protocol
     ({!Chaos.Driver.spanner} / {!Chaos.Driver.gryff}). Each preset picks a
-    deployment and a load — partly-open sessions, closed-loop clients or
-    timeout-respawning slots — and runs it under the caller's {!Env.t};
+    deployment and a load — partly-open sessions or closed-loop clients;
+    the third load, timeout-respawning slots, is the chaos audits' — and
+    runs it under the caller's {!Env.t};
     every preset returns one {!Run.t}: latency recorders, a
     metrics-registry snapshot, the run's history and the verdict of
     checking it (a bench that produced an inconsistent run would be
