@@ -271,10 +271,10 @@ let add reg name v = Obs.Metrics.add (Obs.Metrics.counter reg name) v
 (* Checking                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* A Gryff register record as a one-op witness transaction, reads ranked
-   above writes at equal carstamps. *)
-let gryff_witness_txn (r : Gryff.Cluster.record) =
-  let key = string_of_int r.Gryff.Cluster.g_key in
+(* A Gryff register record as a one-op witness transaction on [key], the
+   record's key as a string, reads ranked above writes at equal
+   carstamps. *)
+let gryff_witness_txn ~key (r : Gryff.Cluster.record) =
   let reads =
     match r.Gryff.Cluster.g_kind with
     | Gryff.Cluster.Read | Gryff.Cluster.Rmw ->
@@ -304,25 +304,30 @@ let combine_keyed acc (key, v) =
   | _, Run.Fail m -> Run.Fail (Fmt.str "key %d: %s" key m)
   | Run.Pass, Run.Unknown m -> Run.Unknown (Fmt.str "key %d: %s" key m)
 
+module Itbl = Hashtbl.Make (Int)
+
+(* Each key's name is made once, beside its checker, so feeding a record
+   allocates no key string. *)
 let keyed_checkers make =
-  let tbl = Hashtbl.create 256 in
-  let add key txn =
-    let oc =
-      match Hashtbl.find_opt tbl key with
-      | Some oc -> oc
-      | None ->
-        let oc = make () in
-        Hashtbl.add tbl key oc;
-        oc
-    in
-    Rss_core.Check_online.add oc txn
+  let tbl = Itbl.create 256 in
+  let checker key =
+    match Itbl.find_opt tbl key with
+    | Some c -> c
+    | None ->
+      let c = (string_of_int key, make ()) in
+      Itbl.add tbl key c;
+      c
   in
   let settled () =
     List.sort
       (fun (a, _) (b, _) -> Int.compare a b)
-      (Hashtbl.fold (fun k oc acc -> (k, oc) :: acc) tbl [])
+      (Itbl.fold (fun k (_, oc) acc -> (k, oc) :: acc) tbl [])
   in
-  (add, settled)
+  (checker, settled)
+
+let feed_gryff checker (r : Gryff.Cluster.record) =
+  let key, oc = checker r.Gryff.Cluster.g_key in
+  Rss_core.Check_online.add oc (gryff_witness_txn ~key r)
 
 (* Arm [env.check] before traffic flows. [`Offline] checks the buffered
    history after the run; [`Online] hooks the record stream into
@@ -331,10 +336,10 @@ let keyed_checkers make =
    returned closure settles the verdict and records its cost. *)
 let arm_check (env : Env.t) ~mode ~per_key ~set_hook ~offline =
   let online () =
-    let feed, settled =
+    let checker, settled =
       keyed_checkers (fun () -> Rss_core.Check_online.create ~mode ())
     in
-    set_hook feed;
+    set_hook checker;
     fun reg ->
       let ocs = settled () in
       (* Settling may finish deferred work, so results come first. *)
@@ -672,7 +677,9 @@ let spanner ?prepare d load (env : Env.t) ~duration_s ~seed =
         | Spanner.Config.Strict -> `Strict
         | Spanner.Config.Rss -> `Rss)
       ~per_key:false
-      ~set_hook:(fun add -> Spanner.Cluster.set_record_hook cluster (add 0))
+      ~set_hook:(fun checker ->
+        Spanner.Cluster.set_record_hook cluster (fun x ->
+            Rss_core.Check_online.add (snd (checker 0)) x))
       ~offline:(fun () -> Spanner.Cluster.check_history cluster)
   in
   let retwis =
@@ -845,9 +852,8 @@ let gryff ?prepare d load (env : Env.t) ~duration_s ~seed =
         | Gryff.Config.Lin -> `Strict
         | Gryff.Config.Rsc -> `Rss)
       ~per_key:true
-      ~set_hook:(fun add ->
-        Gryff.Cluster.set_record_hook cluster (fun r ->
-            add r.Gryff.Cluster.g_key (gryff_witness_txn r)))
+      ~set_hook:(fun checker ->
+        Gryff.Cluster.set_record_hook cluster (feed_gryff checker))
       ~offline:(fun () -> Gryff.Cluster.check_history cluster)
   in
   let ycsb =

@@ -251,18 +251,19 @@ val gryff_deployment :
   Gryff.Config.t -> conflict:float -> write_ratio:float -> n_keys:int -> gryff
 (** Clients on every replica site, safe clients, [Tail] window. *)
 
-val gryff_witness_txn : Gryff.Cluster.record -> Rss_core.Witness.txn
-(** A Gryff register record as a one-op witness transaction (carstamp as
-    timestamp, reads ranked above writes) — the form the online checkers
-    consume. *)
-
 val keyed_checkers :
   (unit -> Rss_core.Check_online.t) ->
-  (int -> Rss_core.Witness.txn -> unit)
+  (int -> string * Rss_core.Check_online.t)
   * (unit -> (int * Rss_core.Check_online.t) list)
-(** [add, settled]: [add key txn] feeds [txn] to [key]'s online checker,
-    made with the given function on first use; [settled ()] lists the
-    checkers in key order. *)
+(** [checker, settled]: [checker key] is [key]'s name as a string and its
+    online checker, both made on first use (the checker with the given
+    function); [settled ()] lists the checkers in key order. *)
+
+val feed_gryff :
+  (int -> string * Rss_core.Check_online.t) -> Gryff.Cluster.record -> unit
+(** [feed_gryff checker r] feeds [r] to its key's checker as a one-op
+    witness transaction (carstamp as timestamp, reads ranked above
+    writes). *)
 
 val combine_keyed : Run.verdict -> int * Run.verdict -> Run.verdict
 (** One step of folding per-key verdicts in key order: the first [Fail]

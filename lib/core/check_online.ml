@@ -16,6 +16,17 @@
    degrades to an explicit [Unknown] (with a bounded {!Check_txn} search
    over the ambiguous suffix) rather than to quadratic work.
 
+   Layout. Transactions are numbered by arrival. The order key
+   (ts, rank, inv) of arrival [i] sits in a flat int array at [3i .. 3i+2],
+   so the comparison every binary search makes reads three adjacent
+   unboxed ints and never the boxed record. Everything kept per key — its writers and readers,
+   each sorted by order key, and the map from written value to writer — is
+   one record, found through a string-keyed table with a one-entry cache
+   of the last key (a per-key checker sees one key throughout). Everything
+   kept per process — its transactions sorted by invocation, and the
+   largest invocation seen — is one record in an int-keyed table. Tables
+   start small and grow with the history.
+
    Precondition (shared with every reads-from derivation in this repo):
    written values are unique per key. Uniqueness is what makes an eager
    legality verdict definitive — once some other version sits between a read
@@ -56,30 +67,45 @@ module Ivec = struct
     shifted
 end
 
+module Stbl = Hashtbl.Make (String)
+module Itbl = Hashtbl.Make (Int)
+
 type state =
   | Checking
   | Overflowed  (** work budget exhausted; remaining adds are buffered *)
   | Failed of string
 
+type per_key = {
+  writers : Ivec.t;  (** arrival indices of the key's writers, by order key *)
+  readers : Ivec.t;  (** arrival indices of its (complete) readers, likewise *)
+  writer_of : int Itbl.t;  (** written value -> writer (values unique/key) *)
+}
+
+type per_proc = {
+  sess : Ivec.t;  (** the process's arrival indices by (inv, arrival) *)
+  mutable last_inv : int;  (** largest invocation seen, for arrival order *)
+}
+
 type t = {
   mode : W.mode;
   work_budget : int;
   fallback_states : int;
-  (* All transactions in arrival order; [n] of the slots are live. *)
+  (* All transactions in arrival order; [n] of the slots are live. The
+     order key of arrival [i] is [okey.(3i)], [okey.(3i+1)], [okey.(3i+2)]:
+     its ts, rank and inv. *)
   mutable txns : W.txn array;
+  mutable okey : int array;
   mutable n : int;
   (* Arrival indices sorted by the claimed order key (ts, rank, inv, arr). *)
   ord : Ivec.t;
-  (* Per-key writer / reader indices, each sorted by the order key. *)
-  kw : (W.key, Ivec.t) Hashtbl.t;
-  kr : (W.key, Ivec.t) Hashtbl.t;
-  (* (key, value) -> the arrival index that wrote it (values unique/key). *)
-  writer_of : (W.key * W.value, int) Hashtbl.t;
+  keys : per_key Stbl.t;
+  (* One-entry cache in front of [keys]; [no_key] when empty. *)
+  mutable last_key : W.key;
+  mutable last_per_key : per_key;
+  procs : per_proc Itbl.t;
   (* Reads whose writer had not arrived yet: (reader, key, value), settled
      at [result] once every record is in. *)
   mutable deferred : (int * W.key * W.value) list;
-  (* Per-process transactions sorted by (inv, arrival). *)
-  pr : (int, Ivec.t) Hashtbl.t;
   (* Append fast-path real-time watermarks. *)
   mutable max_inv_all : int;
   mutable max_inv_mut : int;
@@ -88,13 +114,17 @@ type t = {
      suffix fallback can no longer soundly confirm, only stay Unknown. *)
   mutable arrival_monotone : bool;
   mutable last_resp : int;
-  last_inv_by_proc : (int, int) Hashtbl.t;
   mutable state : state;
   mutable pending : W.txn list;  (** reversed; buffered after overflow *)
   mutable n_pending : int;
   mutable work : int;
   mutable max_displacement : int;
 }
+
+let new_key () =
+  { writers = Ivec.create (); readers = Ivec.create (); writer_of = Itbl.create 8 }
+
+let no_key = new_key ()
 
 let dummy_txn =
   { W.proc = 0; reads = []; writes = []; inv = 0; resp = 0; ts = 0; rank = 0 }
@@ -105,18 +135,18 @@ let create ?(work_budget = max_int) ?(fallback_states = 500_000) ~mode () =
     work_budget;
     fallback_states;
     txns = [||];
+    okey = [||];
     n = 0;
     ord = Ivec.create ();
-    kw = Hashtbl.create 256;
-    kr = Hashtbl.create 256;
-    writer_of = Hashtbl.create 1024;
+    keys = Stbl.create 8;
+    last_key = "";
+    last_per_key = no_key;
+    procs = Itbl.create 8;
     deferred = [];
-    pr = Hashtbl.create 64;
     max_inv_all = min_int;
     max_inv_mut = min_int;
     arrival_monotone = true;
     last_resp = min_int;
-    last_inv_by_proc = Hashtbl.create 64;
     state = Checking;
     pending = [];
     n_pending = 0;
@@ -132,32 +162,62 @@ let max_displacement t = t.max_displacement
 
 (* Claimed-order comparison between arrival indices: (ts, rank, inv)
    lexicographically, arrival index as the final tie-break — the same total
-   order {!Witness.order} sorts by. Plain int comparisons: this runs a few
+   order {!Witness.order} sorts by. Reads only [okey]: this runs a few
    dozen times per transaction. *)
 let cmp t i j =
-  let a = t.txns.(i) and b = t.txns.(j) in
-  if a.W.ts <> b.W.ts then Stdlib.compare a.W.ts b.W.ts
-  else if a.W.rank <> b.W.rank then Stdlib.compare a.W.rank b.W.rank
-  else if a.W.inv <> b.W.inv then Stdlib.compare a.W.inv b.W.inv
-  else Stdlib.compare i j
+  let k = t.okey and i3 = 3 * i and j3 = 3 * j in
+  let a = Array.unsafe_get k i3 and b = Array.unsafe_get k j3 in
+  if a <> b then Int.compare a b
+  else
+    let a = Array.unsafe_get k (i3 + 1) and b = Array.unsafe_get k (j3 + 1) in
+    if a <> b then Int.compare a b
+    else
+      let a = Array.unsafe_get k (i3 + 2) and b = Array.unsafe_get k (j3 + 2) in
+      if a <> b then Int.compare a b else Int.compare i j
+
+let ts_of t i = t.okey.(3 * i)
+
+let inv_of t i = t.okey.((3 * i) + 2)
 
 (* First position in [v] whose element does not precede arrival index [i]
-   in claimed order — [i]'s insertion point. *)
+   in claimed order — [i]'s insertion point. Almost every insert is an
+   append, so the last element is tried first: one comparison, and the
+   binary search's cold probes are skipped. *)
 let insertion_point t v i =
-  let lo = ref 0 and hi = ref (Ivec.length v) in
+  let n = Ivec.length v in
+  if n = 0 || cmp t (Ivec.get v (n - 1)) i < 0 then n
+  else
+  let lo = ref 0 and hi = ref (n - 1) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
     if cmp t (Ivec.get v mid) i < 0 then lo := mid + 1 else hi := mid
   done;
   !lo
 
-let vec_of tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some v -> v
+let per_key t key =
+  if t.last_per_key != no_key && (key == t.last_key || String.equal key t.last_key)
+  then t.last_per_key
+  else begin
+    let k =
+      match Stbl.find_opt t.keys key with
+      | Some k -> k
+      | None ->
+        let k = new_key () in
+        Stbl.add t.keys key k;
+        k
+    in
+    t.last_key <- key;
+    t.last_per_key <- k;
+    k
+  end
+
+let per_proc t proc =
+  match Itbl.find_opt t.procs proc with
+  | Some p -> p
   | None ->
-    let v = Ivec.create () in
-    Hashtbl.add tbl key v;
-    v
+    let p = { sess = Ivec.create (); last_inv = min_int } in
+    Itbl.add t.procs proc p;
+    p
 
 let pp_value ppf = function
   | None -> Fmt.pf ppf "nil"
@@ -167,18 +227,32 @@ let fail t msg = match t.state with Failed _ -> () | _ -> t.state <- Failed msg
 
 let is_complete (x : W.txn) = x.W.resp <> max_int
 
-let is_mutator (x : W.txn) = x.W.writes <> []
+let is_mutator (x : W.txn) = match x.W.writes with [] -> false | _ -> true
+
+(* [List.assoc] with string equality rather than polymorphic compare. *)
+let rec assoc key = function
+  | [] -> raise Not_found
+  | (k, v) :: rest -> if String.equal k key then v else assoc key rest
 
 (* The value arrival index [w] wrote to [key]. *)
-let written_value t w key = List.assoc key t.txns.(w).W.writes
+let written_value t w key = assoc key t.txns.(w).W.writes
 
-let store_txn t i x =
+(* [a]'s first [n] elements in an array of twice the room (64 at first),
+   for [width] elements per transaction. *)
+let extend a ~width n fill =
+  let b = Array.make (width * if n = 0 then 64 else n * 2) fill in
+  Array.blit a 0 b 0 (width * n);
+  b
+
+let store_txn t i (x : W.txn) =
   if t.n = Array.length t.txns then begin
-    let a = Array.make (if t.n = 0 then 64 else t.n * 2) dummy_txn in
-    Array.blit t.txns 0 a 0 t.n;
-    t.txns <- a
+    t.txns <- extend t.txns ~width:1 t.n dummy_txn;
+    t.okey <- extend t.okey ~width:3 t.n 0
   end;
   t.txns.(i) <- x;
+  t.okey.(3 * i) <- x.W.ts;
+  t.okey.((3 * i) + 1) <- x.W.rank;
+  t.okey.((3 * i) + 2) <- x.W.inv;
   t.n <- t.n + 1
 
 let add_work t d =
@@ -199,22 +273,22 @@ let check_reads t i =
       match t.state with
       | Failed _ | Overflowed -> ()
       | Checking -> (
-        let writers = vec_of t.kw key in
+        let k = per_key t key in
+        let writers = k.writers in
         let p = insertion_point t writers i in
-        let latest = if p = 0 then None else Some (Ivec.get writers (p - 1)) in
+        (* The latest preceding writer, or -1 when there is none. *)
+        let latest = if p = 0 then -1 else Ivec.get writers (p - 1) in
         match v with
         | None ->
           (* A nil read with any preceding writer can never become legal. *)
-          (match latest with
-          | None -> ()
-          | Some w ->
+          if latest >= 0 then
             fail t
               (Fmt.str "legality: txn %d read %s=nil but txn %d wrote %s=%d \
                         before it"
-                 i key w key (written_value t w key)))
+                 i key latest key (written_value t latest key))
         | Some v -> (
-          match Hashtbl.find_opt t.writer_of (key, v) with
-          | Some w when latest = Some w -> ()
+          match Itbl.find_opt k.writer_of v with
+          | Some w when w = latest -> ()
           | Some w ->
             (* Present but not the latest predecessor: either another version
                interposes or the writer is ordered after the reader; no
@@ -224,9 +298,7 @@ let check_reads t i =
                  "legality: txn %d read %s=%d from txn %d, but the order \
                   implies %a"
                  i key v w pp_value
-                 (match latest with
-                 | None -> None
-                 | Some l -> Some (written_value t l key)))
+                 (if latest < 0 then None else Some (written_value t latest key)))
           | None ->
             (* Writer not recorded yet (slow ack, unacknowledged commit swept
                in at the end): settle at finish. *)
@@ -241,12 +313,13 @@ let check_reads t i =
 let insert_writes t i =
   List.iter
     (fun (key, v) ->
-      let writers = vec_of t.kw key in
+      let k = per_key t key in
+      let writers = k.writers in
       let p = insertion_point t writers i in
       (match t.state with
       | Failed _ | Overflowed -> ()
       | Checking ->
-        let readers = vec_of t.kr key in
+        let readers = k.readers in
         let q0 = insertion_point t readers i in
         let next_writer =
           if p < Ivec.length writers then Some (Ivec.get writers p) else None
@@ -261,24 +334,24 @@ let insert_writes t i =
             (* [r = i]: a txn's own reads precede its writes (Witness replay
                order) and were already validated against the pre-state. *)
             (if r <> i && is_complete t.txns.(r) then
-               match List.assoc key t.txns.(r).W.reads with
+               match assoc key t.txns.(r).W.reads with
                | Some u when u = v -> ()
                | None ->
                  fail t
                    (Fmt.str
                       "legality: txn %d read %s=nil but txn %d (ts=%d) wrote \
                        %s=%d before it"
-                      r key i t.txns.(i).W.ts key v)
+                      r key i (ts_of t i) key v)
                | Some u ->
-                 if Hashtbl.mem t.writer_of (key, u) then
+                 if Itbl.mem k.writer_of u then
                    fail t
                      (Fmt.str
                         "legality: txn %d read %s=%d but txn %d (ts=%d) \
                          interposes %s=%d"
-                        r key u i t.txns.(i).W.ts key v));
+                        r key u i (ts_of t i) key v));
             incr q)
         done);
-      Hashtbl.replace t.writer_of (key, v) i;
+      Itbl.replace k.writer_of v i;
       add_work t (Ivec.insert writers p i))
     t.txns.(i).W.writes
 
@@ -288,7 +361,7 @@ let insert_reads t i =
   if is_complete t.txns.(i) then
     List.iter
       (fun (key, _) ->
-        let readers = vec_of t.kr key in
+        let readers = (per_key t key).readers in
         let p = insertion_point t readers i in
         add_work t (Ivec.insert readers p i))
       t.txns.(i).W.reads
@@ -296,17 +369,17 @@ let insert_reads t i =
 (* Session order: along each process's invocation order, claimed-order
    positions must increase. Checking both neighbours at the insertion point
    maintains the invariant inductively. *)
-let check_sessions t i =
-  let x = t.txns.(i) in
-  let procs = vec_of t.pr x.W.proc in
+let check_sessions t (pp : per_proc) i =
+  let sess = pp.sess in
+  let inv = inv_of t i in
   (* insertion point by (inv, arrival) *)
-  let lo = ref 0 and hi = ref (Ivec.length procs) in
+  let lo = ref 0 and hi = ref (Ivec.length sess) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    let j = Ivec.get procs mid in
+    let j = Ivec.get sess mid in
     let c =
-      if t.txns.(j).W.inv <> x.W.inv then Stdlib.compare t.txns.(j).W.inv x.W.inv
-      else Stdlib.compare j i
+      let inv_j = inv_of t j in
+      if inv_j <> inv then Int.compare inv_j inv else Int.compare j i
     in
     if c < 0 then lo := mid + 1 else hi := mid
   done;
@@ -314,15 +387,16 @@ let check_sessions t i =
   (match t.state with
   | Failed _ | Overflowed -> ()
   | Checking ->
-    if p > 0 && cmp t (Ivec.get procs (p - 1)) i > 0 then
+    let proc = t.txns.(i).W.proc in
+    if p > 0 && cmp t (Ivec.get sess (p - 1)) i > 0 then
       fail t
-        (Fmt.str "session order: process %d's txns %d and %d inverted" x.W.proc
-           (Ivec.get procs (p - 1)) i)
-    else if p < Ivec.length procs && cmp t i (Ivec.get procs p) > 0 then
+        (Fmt.str "session order: process %d's txns %d and %d inverted" proc
+           (Ivec.get sess (p - 1)) i)
+    else if p < Ivec.length sess && cmp t i (Ivec.get sess p) > 0 then
       fail t
-        (Fmt.str "session order: process %d's txns %d and %d inverted" x.W.proc
-           i (Ivec.get procs p)));
-  add_work t (Ivec.insert procs p i)
+        (Fmt.str "session order: process %d's txns %d and %d inverted" proc
+           i (Ivec.get sess p)));
+  add_work t (Ivec.insert sess p i)
 
 let add t (x : W.txn) =
   match t.state with
@@ -338,9 +412,9 @@ let add t (x : W.txn) =
       if x.W.resp < t.last_resp then t.arrival_monotone <- false;
       if x.W.resp > t.last_resp then t.last_resp <- x.W.resp
     end;
-    (match Hashtbl.find_opt t.last_inv_by_proc x.W.proc with
-    | Some last when x.W.inv < last -> t.arrival_monotone <- false
-    | _ -> Hashtbl.replace t.last_inv_by_proc x.W.proc x.W.inv);
+    let pp = per_proc t x.W.proc in
+    if x.W.inv < pp.last_inv then t.arrival_monotone <- false
+    else pp.last_inv <- x.W.inv;
     (* Global claimed order. *)
     let p = insertion_point t t.ord i in
     let appended = p = Ivec.length t.ord in
@@ -372,7 +446,7 @@ let add t (x : W.txn) =
     check_reads t i;
     insert_reads t i;
     insert_writes t i;
-    check_sessions t i;
+    check_sessions t pp i;
     (match t.state with
     | Checking when t.work > t.work_budget -> t.state <- Overflowed
     | _ -> ())
@@ -388,12 +462,13 @@ let settle_deferred t =
   let rec go = function
     | [] -> `Ok
     | (r, key, v) :: rest -> (
-      match Hashtbl.find_opt t.writer_of (key, v) with
+      let k = per_key t key in
+      match Itbl.find_opt k.writer_of v with
       | None ->
         `Missing
           (Fmt.str "legality: txn %d read %s=%d but no txn wrote it" r key v)
       | Some w ->
-        let writers = vec_of t.kw key in
+        let writers = k.writers in
         let p = insertion_point t writers r in
         if p > 0 && Ivec.get writers (p - 1) = w then go rest
         else
@@ -429,7 +504,7 @@ let scan_rt_mutators t =
   !r
 
 let scan_rt_conflicts t =
-  let max_reader_inv : (W.key, int) Hashtbl.t = Hashtbl.create 1024 in
+  let max_reader_inv : int Stbl.t = Stbl.create 8 in
   let i = ref 0 in
   let r = ref (Ok ()) in
   while !r = Ok () && !i < Ivec.length t.ord do
@@ -437,7 +512,7 @@ let scan_rt_conflicts t =
     let x = t.txns.(id) in
     List.iter
       (fun (k, _) ->
-        match Hashtbl.find_opt max_reader_inv k with
+        match Stbl.find_opt max_reader_inv k with
         | Some m when x.W.resp < m ->
           if !r = Ok () then
             r :=
@@ -450,9 +525,9 @@ let scan_rt_conflicts t =
       x.W.writes;
     List.iter
       (fun (k, _) ->
-        match Hashtbl.find_opt max_reader_inv k with
+        match Stbl.find_opt max_reader_inv k with
         | Some m when m >= x.W.inv -> ()
-        | Some _ | None -> Hashtbl.replace max_reader_inv k x.W.inv)
+        | Some _ | None -> Stbl.replace max_reader_inv k x.W.inv)
       x.W.reads;
     incr i
   done;
@@ -497,14 +572,18 @@ let finish_scans t =
    serializations interleaving suffix transactions amid the prefix were
    never explored. *)
 
+(* The synthetic initial writes, one per written key, sorted by key so the
+   fallback search sees the same history however the key table is laid
+   out. *)
 let prefix_store t =
-  Hashtbl.fold
-    (fun key writers acc ->
-      if Ivec.length writers = 0 then acc
+  Stbl.fold
+    (fun key k acc ->
+      if Ivec.length k.writers = 0 then acc
       else
-        let last = Ivec.get writers (Ivec.length writers - 1) in
+        let last = Ivec.get k.writers (Ivec.length k.writers - 1) in
         (key, written_value t last key) :: acc)
-    t.kw []
+    t.keys []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let fallback_model : W.mode -> Check_txn.model = function
   | `Strict -> Check_txn.Strict_serializable

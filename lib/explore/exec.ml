@@ -139,13 +139,10 @@ let judge ~protocol ~check_budget records =
       Rss_core.Check_online.work oc,
       Rss_core.Check_online.max_displacement oc )
   | Chaos.Audit.Gryff_records arr ->
-    let add, settled =
+    let checker, settled =
       Chaos.Driver.keyed_checkers (fun () -> make_checker ~mode ~check_budget)
     in
-    Array.iter
-      (fun (r : Gryff.Cluster.record) ->
-        add r.Gryff.Cluster.g_key (Chaos.Driver.gryff_witness_txn r))
-      arr;
+    Array.iter (Chaos.Driver.feed_gryff checker) arr;
     List.fold_left
       (fun (verdict, work, disp) (key, oc) ->
         let work = work + Rss_core.Check_online.work oc in

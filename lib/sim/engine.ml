@@ -1,22 +1,31 @@
 type prof_cell = { mutable p_events : int; mutable p_wall : float }
 
-(* The event queue is a binary min-heap over (time, seq) stored as four
-   parallel flat arrays rather than an array of boxed event records. This
-   is the simulator's hottest path — every message delivery is one push and
-   one pop — and the flat layout makes both allocation-free in the steady
-   state: pushes write into preallocated slots, pops compare unboxed ints,
-   and no option or record is built per event. The ordering predicate and
-   the sift algorithms are exactly those of the previous boxed heap, so a
-   seeded run executes the identical schedule. *)
+(* The event queue is an index heap over one int array. Heap entry [i]
+   occupies [heap.(4i) .. heap.(4i+3)]: the event's [time], [prio], [seq]
+   and the [slot] where its payload lives. The payload ([kind], [action])
+   sits in slot-indexed arrays that are written once when the event is
+   pushed; the action is cleared when it is popped, so no dead closure
+   stays reachable (a kind is a label and is overwritten on reuse). Slots
+   are reused through a
+   free-slot stack kept in the slot field of the entries past [len], so
+   those fields always hold a permutation of the slot ids. Sifts move a
+   hole, four int writes per level into one cache-local entry, so no heap
+   operation stores a pointer and none crosses the write barrier. This is
+   the simulator's hottest path: every message delivery is one push and
+   one pop.
+
+   (time, prio, seq) is a strict total order because [seq] is unique, so
+   the sequence of pops is fully determined by the keys pushed and not by
+   the heap's layout or sift algorithm: any correct heap pops the same
+   events in the same order, and a seeded run executes the identical
+   schedule. *)
 type t = {
   mutable clock : int;
   mutable next_seq : int;
   mutable n_executed : int;
-  mutable ev_time : int array;
-  mutable ev_prio : int array;
-  mutable ev_seq : int array;
-  mutable ev_kind : string array;
-  mutable ev_action : (unit -> unit) array;
+  mutable heap : int array;
+  mutable kinds : string array;
+  mutable actions : (unit -> unit) array;
   mutable len : int;
   (* Tie-break perturbation hook for schedule exploration: when set, each
      scheduled event asks the callback for a priority keyed on its [kind];
@@ -36,16 +45,24 @@ type t = {
 
 let no_op () = ()
 
+let initial_capacity = 8
+
+(* A heap of [cap] entries whose slot fields hold the slot ids in order. *)
+let make_heap cap =
+  let h = Array.make (4 * cap) 0 in
+  for i = 0 to cap - 1 do
+    h.((4 * i) + 3) <- i
+  done;
+  h
+
 let create () =
   {
     clock = 0;
     next_seq = 0;
     n_executed = 0;
-    ev_time = Array.make 16 0;
-    ev_prio = Array.make 16 0;
-    ev_seq = Array.make 16 0;
-    ev_kind = Array.make 16 "";
-    ev_action = Array.make 16 no_op;
+    heap = make_heap initial_capacity;
+    kinds = Array.make initial_capacity "";
+    actions = Array.make initial_capacity no_op;
     len = 0;
     tie_perturb = None;
     profiling = false;
@@ -56,86 +73,106 @@ let create () =
 
 let now t = t.clock
 
+let extend a cap fill =
+  let b = Array.make (2 * cap) fill in
+  Array.blit a 0 b 0 cap;
+  b
+
+(* Only called when every slot is live, so the new slots [cap, 2 cap) are
+   exactly the free ones and go into the new entries' slot fields. *)
 let grow t =
-  let cap = Array.length t.ev_time in
+  let cap = Array.length t.actions in
   if t.len = cap then begin
-    let ncap = cap * 2 in
-    let time = Array.make ncap 0
-    and prio = Array.make ncap 0
-    and seq = Array.make ncap 0
-    and kind = Array.make ncap ""
-    and action = Array.make ncap no_op in
-    Array.blit t.ev_time 0 time 0 t.len;
-    Array.blit t.ev_prio 0 prio 0 t.len;
-    Array.blit t.ev_seq 0 seq 0 t.len;
-    Array.blit t.ev_kind 0 kind 0 t.len;
-    Array.blit t.ev_action 0 action 0 t.len;
-    t.ev_time <- time;
-    t.ev_prio <- prio;
-    t.ev_seq <- seq;
-    t.ev_kind <- kind;
-    t.ev_action <- action
+    let heap = make_heap (2 * cap) in
+    Array.blit t.heap 0 heap 0 (4 * cap);
+    t.heap <- heap;
+    t.kinds <- extend t.kinds cap "";
+    t.actions <- extend t.actions cap no_op
   end
 
-(* (time, prio, seq) lexicographic — prio is 0 for every event unless a
-   tie-break perturbation hook is installed, in which case it reorders
-   same-instant events; seq ties break FIFO among same-(time, prio)
-   events, which is what makes runs reproducible. *)
-let less t i j =
-  t.ev_time.(i) < t.ev_time.(j)
-  || (t.ev_time.(i) = t.ev_time.(j)
-     && (t.ev_prio.(i) < t.ev_prio.(j)
-        || (t.ev_prio.(i) = t.ev_prio.(j) && t.ev_seq.(i) < t.ev_seq.(j))))
+(* Does heap entry [i] precede the key (time, prio, seq)? Lexicographic;
+   prio is 0 for every event unless a tie-break perturbation hook is
+   installed, in which case it reorders same-instant events; seq breaks the
+   remaining ties FIFO, which is what makes runs reproducible. Indices stay
+   below [t.len], within the array. *)
+let precedes (h : int array) i (time : int) (prio : int) (seq : int) =
+  let b = 4 * i in
+  let ti = Array.unsafe_get h b in
+  ti < time
+  || ti = time
+     &&
+     let pi = Array.unsafe_get h (b + 1) in
+     pi < prio || (pi = prio && Array.unsafe_get h (b + 2) < seq)
 
-let swap t i j =
-  let ti = t.ev_time.(i) in
-  t.ev_time.(i) <- t.ev_time.(j);
-  t.ev_time.(j) <- ti;
-  let pi = t.ev_prio.(i) in
-  t.ev_prio.(i) <- t.ev_prio.(j);
-  t.ev_prio.(j) <- pi;
-  let si = t.ev_seq.(i) in
-  t.ev_seq.(i) <- t.ev_seq.(j);
-  t.ev_seq.(j) <- si;
-  let ki = t.ev_kind.(i) in
-  t.ev_kind.(i) <- t.ev_kind.(j);
-  t.ev_kind.(j) <- ki;
-  let ai = t.ev_action.(i) in
-  t.ev_action.(i) <- t.ev_action.(j);
-  t.ev_action.(j) <- ai
+let move (h : int array) ~src ~dst =
+  let s = 4 * src and d = 4 * dst in
+  Array.unsafe_set h d (Array.unsafe_get h s);
+  Array.unsafe_set h (d + 1) (Array.unsafe_get h (s + 1));
+  Array.unsafe_set h (d + 2) (Array.unsafe_get h (s + 2));
+  Array.unsafe_set h (d + 3) (Array.unsafe_get h (s + 3))
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if less t i parent then begin
-      swap t i parent;
-      sift_up t parent
+let put (h : int array) i time prio seq slot =
+  let b = 4 * i in
+  Array.unsafe_set h b time;
+  Array.unsafe_set h (b + 1) prio;
+  Array.unsafe_set h (b + 2) seq;
+  Array.unsafe_set h (b + 3) slot
+
+(* Move the hole at [i] up past every parent the entry precedes, then fill
+   it. *)
+let sift_up h i time prio seq slot =
+  let i = ref i and continue = ref true in
+  while !continue && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    if precedes h parent time prio seq then continue := false
+    else begin
+      move h ~src:parent ~dst:!i;
+      i := parent
     end
-  end
+  done;
+  put h !i time prio seq slot
 
-let rec sift_down t i =
-  let left = (2 * i) + 1 and right = (2 * i) + 2 in
-  let smallest = ref i in
-  if left < t.len && less t left !smallest then smallest := left;
-  if right < t.len && less t right !smallest then smallest := right;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
+(* Move the hole at [i] down past every smaller child among the first [n]
+   entries, then fill it. *)
+let sift_down h n i time prio seq slot =
+  let i = ref i and continue = ref true in
+  while !continue do
+    let left = (2 * !i) + 1 in
+    if left >= n then continue := false
+    else begin
+      let right = left + 1 in
+      let l = 4 * left in
+      let child =
+        if
+          right < n
+          && precedes h right (Array.unsafe_get h l)
+               (Array.unsafe_get h (l + 1))
+               (Array.unsafe_get h (l + 2))
+        then right
+        else left
+      in
+      if precedes h child time prio seq then begin
+        move h ~src:child ~dst:!i;
+        i := child
+      end
+      else continue := false
+    end
+  done;
+  put h !i time prio seq slot
 
 let schedule_at ?(kind = "other") t ~at action =
   let time = if at < t.clock then t.clock else at in
+  let prio = match t.tie_perturb with None -> 0 | Some f -> f kind in
   grow t;
   let i = t.len in
-  t.ev_time.(i) <- time;
-  t.ev_prio.(i) <-
-    (match t.tie_perturb with None -> 0 | Some f -> f kind);
-  t.ev_seq.(i) <- t.next_seq;
-  t.ev_kind.(i) <- kind;
-  t.ev_action.(i) <- action;
-  t.len <- t.len + 1;
-  t.next_seq <- t.next_seq + 1;
-  sift_up t i
+  let h = t.heap in
+  let slot = h.((4 * i) + 3) in
+  t.kinds.(slot) <- kind;
+  t.actions.(slot) <- action;
+  t.len <- i + 1;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  sift_up h i time prio seq slot
 
 let schedule ?kind t ~after action =
   let after = if after < 0 then 0 else after in
@@ -163,29 +200,24 @@ let profile t =
 
 let queue_depths t = t.depths
 
-(* Remove the root. Popped slots are cleared so the heap never keeps a dead
-   closure (or its environment) alive past execution. *)
-let remove_root t =
-  let last = t.len - 1 in
-  t.len <- last;
-  if last > 0 then begin
-    t.ev_time.(0) <- t.ev_time.(last);
-    t.ev_prio.(0) <- t.ev_prio.(last);
-    t.ev_seq.(0) <- t.ev_seq.(last);
-    t.ev_kind.(0) <- t.ev_kind.(last);
-    t.ev_action.(0) <- t.ev_action.(last)
-  end;
-  t.ev_kind.(last) <- "";
-  t.ev_action.(last) <- no_op;
-  if t.len > 1 then sift_down t 0
-
+(* Pop the root: its slot's action is cleared so the queue never keeps a
+   dead closure (or its environment) alive past execution, and the slot
+   returns to the free stack at the position the last entry vacates. *)
 let step t =
   if t.len = 0 then false
   else begin
-    let time = t.ev_time.(0) in
-    let kind = t.ev_kind.(0) in
-    let action = t.ev_action.(0) in
-    remove_root t;
+    let h = t.heap in
+    let time = h.(0) in
+    let slot = h.(3) in
+    let kind = t.kinds.(slot) in
+    let action = t.actions.(slot) in
+    t.actions.(slot) <- no_op;
+    let last = t.len - 1 in
+    t.len <- last;
+    let b = 4 * last in
+    if last > 0 then
+      sift_down h last 0 h.(b) h.(b + 1) h.(b + 2) h.(b + 3);
+    h.(b + 3) <- slot;
     t.clock <- time;
     t.n_executed <- t.n_executed + 1;
     if t.profiling then begin
@@ -207,7 +239,7 @@ let run ?until ?max_events t =
   let continue = ref true in
   while !continue && !budget > 0 do
     if t.len = 0 then continue := false
-    else if t.ev_time.(0) > stop_time then begin
+    else if t.heap.(0) > stop_time then begin
       t.clock <- stop_time;
       continue := false
     end

@@ -5,89 +5,6 @@ let int = Alcotest.int
 let bool = Alcotest.bool
 
 (* ------------------------------------------------------------------ *)
-(* Heap                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_heap_order () =
-  let h = Sim.Heap.create ~cmp:compare in
-  List.iter (Sim.Heap.add h) [ 5; 3; 8; 1; 9; 2; 7; 4; 6; 0 ];
-  let out = ref [] in
-  let rec drain () =
-    match Sim.Heap.pop h with
-    | None -> ()
-    | Some x ->
-      out := x :: !out;
-      drain ()
-  in
-  drain ();
-  check (Alcotest.list int) "sorted ascending" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
-    (List.rev !out)
-
-let test_heap_empty () =
-  let h = Sim.Heap.create ~cmp:compare in
-  check bool "empty" true (Sim.Heap.is_empty h);
-  check bool "pop none" true (Sim.Heap.pop h = None);
-  check bool "peek none" true (Sim.Heap.peek h = None);
-  Sim.Heap.add h 42;
-  check int "size" 1 (Sim.Heap.size h);
-  check bool "peek" true (Sim.Heap.peek h = Some 42);
-  check bool "pop" true (Sim.Heap.pop h = Some 42);
-  check bool "empty again" true (Sim.Heap.is_empty h)
-
-let test_heap_duplicates () =
-  let h = Sim.Heap.create ~cmp:compare in
-  List.iter (Sim.Heap.add h) [ 3; 1; 3; 1; 2 ];
-  let rec drain acc =
-    match Sim.Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  check (Alcotest.list int) "dups kept" [ 1; 1; 2; 3; 3 ] (drain [])
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap drains any list sorted" ~count:200
-    QCheck.(list small_int)
-    (fun xs ->
-      let h = Sim.Heap.create ~cmp:compare in
-      List.iter (Sim.Heap.add h) xs;
-      let rec drain acc =
-        match Sim.Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort compare xs)
-
-let prop_heap_stable_tiebreak =
-  (* The engine's event ordering is (time, seq) lexicographic; under that
-     comparator a drain is exactly a *stable* sort of the insertion
-     sequence by time. Times are drawn from a tiny range so nearly every
-     case exercises same-timestamp ties. *)
-  QCheck.Test.make ~name:"heap under (time,seq) = stable sort by time" ~count:300
-    QCheck.(list (int_range 0 15))
-    (fun times ->
-      let h =
-        Sim.Heap.create ~cmp:(fun (t1, s1) (t2, s2) ->
-            if t1 <> t2 then compare t1 t2 else compare s1 s2)
-      in
-      List.iteri (fun i t -> Sim.Heap.add h (t, i)) times;
-      let rec drain acc =
-        match Sim.Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain []
-      = List.stable_sort
-          (fun (t1, _) (t2, _) -> compare t1 t2)
-          (List.mapi (fun i t -> (t, i)) times))
-
-let test_heap_clear_reuse () =
-  let h = Sim.Heap.create ~cmp:compare in
-  List.iter (Sim.Heap.add h) [ 3; 1; 2 ];
-  Sim.Heap.clear h;
-  check bool "cleared" true (Sim.Heap.is_empty h);
-  check bool "pop after clear" true (Sim.Heap.pop h = None);
-  List.iter (Sim.Heap.add h) [ 9; 4; 6 ];
-  check int "size after reuse" 3 (Sim.Heap.size h);
-  let rec drain acc =
-    match Sim.Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  check (Alcotest.list int) "reused heap sorts" [ 4; 6; 9 ] (drain [])
-
-(* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -195,6 +112,65 @@ let prop_engine_slot_reuse =
         if List.rev !log <> oracle then ok := false
       done;
       !ok && Sim.Engine.pending e = 0 && Sim.Engine.executed e = 4 * n)
+
+let prop_engine_interleaved_order =
+  (* Events schedule further events at random delays while they run, some
+     of them [schedule_at] into the past (clamped to now), under a
+     tie-break hook drawing random priorities, and the run is stopped with
+     [run ~until] and resumed. Every executed event must be the least
+     pending one of a reference model under (time, prio, seq). *)
+  QCheck.Test.make
+    ~name:"engine pops (time, prio, seq) order under interleaving" ~count:300
+    QCheck.(pair small_int bool)
+    (fun (seed, perturb) ->
+      let rng = Sim.Rng.make seed in
+      let e = Sim.Engine.create () in
+      let prios = Hashtbl.create 64 in
+      if perturb then
+        Sim.Engine.set_tie_perturb e
+          (Some
+             (fun kind ->
+               let p = Sim.Rng.int rng 4 - 2 in
+               Hashtbl.replace prios kind p;
+               p));
+      let model = ref [] and seq = ref 0 and budget = ref 400 in
+      let ok = ref true in
+      let rec sched ~at =
+        let s = !seq in
+        incr seq;
+        decr budget;
+        let kind = string_of_int s in
+        let time = max at (Sim.Engine.now e) in
+        Sim.Engine.schedule_at ~kind e ~at (fun () -> fire time s);
+        let prio = Option.value (Hashtbl.find_opt prios kind) ~default:0 in
+        model := (time, prio, s) :: !model
+      and fire time s =
+        let least_time, _, least_seq =
+          List.fold_left min (List.hd !model) !model
+        in
+        if least_seq <> s || least_time <> time || Sim.Engine.now e <> time
+        then ok := false;
+        model := List.filter (fun (_, _, x) -> x <> s) !model;
+        for _ = 1 to Sim.Rng.int rng 3 do
+          if !budget > 0 then begin
+            let now = Sim.Engine.now e in
+            if Sim.Rng.bool rng 0.2 then sched ~at:(now - Sim.Rng.int rng 10)
+            else sched ~at:(now + Sim.Rng.int rng 20)
+          end
+        done
+      in
+      for _ = 0 to Sim.Rng.int rng 20 do
+        sched ~at:(Sim.Rng.int rng 30)
+      done;
+      let until = ref 0 in
+      while Sim.Engine.pending e > 0 do
+        until := !until + 1 + Sim.Rng.int rng 25;
+        Sim.Engine.run ~until:!until e;
+        if Sim.Engine.pending e > 0 && Sim.Engine.now e <> !until then
+          ok := false;
+        if Sim.Engine.pending e <> List.length !model then ok := false
+      done;
+      !ok && !model = [] && Sim.Engine.executed e = !seq)
 
 let test_time_conversions () =
   check int "ms" 62_000 (Sim.Engine.ms 62.0);
@@ -518,15 +494,6 @@ let qt = QCheck_alcotest.to_alcotest
 
 let suites =
   [
-    ( "sim.heap",
-      [
-        Alcotest.test_case "orders elements" `Quick test_heap_order;
-        Alcotest.test_case "empty behaviour" `Quick test_heap_empty;
-        Alcotest.test_case "keeps duplicates" `Quick test_heap_duplicates;
-        Alcotest.test_case "clear then reuse" `Quick test_heap_clear_reuse;
-        qt prop_heap_sorts;
-        qt prop_heap_stable_tiebreak;
-      ] );
     ( "sim.engine",
       [
         Alcotest.test_case "time ordering" `Quick test_engine_ordering;
@@ -537,6 +504,7 @@ let suites =
         Alcotest.test_case "time conversions" `Quick test_time_conversions;
         qt prop_engine_stable_order;
         qt prop_engine_slot_reuse;
+        qt prop_engine_interleaved_order;
       ] );
     ( "sim.rng",
       [
