@@ -176,6 +176,54 @@ let test_reacquire_held_lock () =
   check bool "again" true (try_write h ~key:1 ~txn:1 ~prio:10 = `Granted);
   check bool "read while writing" true (try_read h ~key:1 ~txn:1 ~prio:10 = `Granted)
 
+(* One wound frees several keys at once, so the drain loop holds more than
+   one dirty key and its pick order decides which waiter is served first.
+   The exact order in which the grant and abort continuations fire is
+   pinned: any change to the drain's data structures must reproduce it. *)
+let test_multi_key_wound_order () =
+  let h = mk () in
+  let log = ref [] in
+  let note ~key ~txn = function
+    | Spanner.Locks.Granted _ -> log := Printf.sprintf "g%d@%d" txn key :: !log
+    | Spanner.Locks.Aborted -> log := Printf.sprintf "a%d@%d" txn key :: !log
+  in
+  let acquire kind ~key ~txn ~prio =
+    let f =
+      match kind with
+      | `R -> Spanner.Locks.acquire_read
+      | `W -> Spanner.Locks.acquire_write
+    in
+    f h.locks ~key ~txn ~priority:(prio, txn) (note ~key ~txn);
+    Sim.Engine.run h.engine
+  in
+  (* Txn 5 holds six keys; txn 9 (older) holds key 20, where txn 5 queues. *)
+  List.iter (fun key -> acquire `W ~key ~txn:5 ~prio:50) [ 1; 2; 3; 4; 5; 6 ];
+  acquire `W ~key:20 ~txn:9 ~prio:40;
+  acquire `W ~key:20 ~txn:5 ~prio:50;
+  (* Younger waiters behind txn 5 on every other key. *)
+  acquire `W ~key:2 ~txn:6 ~prio:60;
+  acquire `R ~key:3 ~txn:7 ~prio:70;
+  acquire `W ~key:3 ~txn:8 ~prio:80;
+  acquire `R ~key:4 ~txn:10 ~prio:90;
+  acquire `R ~key:4 ~txn:11 ~prio:91;
+  acquire `W ~key:5 ~txn:12 ~prio:92;
+  acquire `R ~key:6 ~txn:13 ~prio:93;
+  acquire `W ~key:6 ~txn:14 ~prio:94;
+  log := [];
+  (* The oldest txn wounds txn 5 through key 1: keys 1-6 and 20 turn dirty
+     together. *)
+  acquire `W ~key:1 ~txn:1 ~prio:10;
+  let wave1 = List.rev !log in
+  log := [];
+  List.iter (fun txn -> Spanner.Locks.release_all h.locks ~txn) [ 7; 13; 9 ];
+  Sim.Engine.run h.engine;
+  let wave2 = List.rev !log in
+  check (Alcotest.list Alcotest.string) "wound wave"
+    [ "a5@20"; "g1@1"; "g10@4"; "g11@4"; "g13@6"; "g12@5"; "g7@3"; "g6@2" ]
+    wave1;
+  check (Alcotest.list Alcotest.string) "release wave" [ "g8@3"; "g14@6" ] wave2;
+  check int "one wound" 1 (Spanner.Locks.wounds_inflicted h.locks)
+
 let suites =
   [
     ( "spanner.locks",
@@ -197,5 +245,6 @@ let suites =
         Alcotest.test_case "wounded requester" `Quick test_abort_on_already_wounded_request;
         Alcotest.test_case "wound counter" `Quick test_wound_counter;
         Alcotest.test_case "re-acquire held" `Quick test_reacquire_held_lock;
+        Alcotest.test_case "multi-key wound order" `Quick test_multi_key_wound_order;
       ] );
   ]

@@ -2,9 +2,10 @@
    (with its message), the work meter, the largest displacement and the
    number of transactions added, for every history of test_scale.ml's
    random battery in all three modes, valid and mutated, plus the
-   starved-work-budget cases that take the suffix fallback. Each group is
-   pinned as the MD5 of one line per history. A change to the checker's
-   internals must reproduce every pin unedited. *)
+   starved-work-budget cases that take the suffix fallback; and the offline
+   Rss_core.Witness.check's verdicts over the same batteries and two more.
+   Each group is pinned as the MD5 of one line per history. A change to
+   either checker's internals must reproduce every pin unedited. *)
 
 let check = Alcotest.check
 let string = Alcotest.string
@@ -119,6 +120,68 @@ let test_fallback () =
     (digest ~seeds:100 ~history:sequential ~feed:(fun ~mode txns ->
          run ~work_budget:4 ~fallback_states:20_000 ~mode txns))
 
+(* Rss_core.Witness.check's results (Ok, or the Error message) over valid
+   and mutated batteries in all three modes, plus wide histories with
+   thousands of distinct keys, pinned as one MD5. *)
+let witness_digest ~seeds ~history =
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (mode, mode_name) ->
+      for seed = 1 to seeds do
+        let verdict =
+          match Rss_core.Witness.check ~mode (history ~mode_name seed) with
+          | Ok () -> "ok"
+          | Error m -> "error " ^ m
+        in
+        Buffer.add_string b (Printf.sprintf "%s %d %s\n" mode_name seed verdict)
+      done)
+    Test_scale.modes;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let wide ~mode_name seed =
+  let rng = Sim.Rng.make (seed + (0x31de * Hashtbl.hash mode_name)) in
+  let txns, max_val =
+    Test_scale.gen_history ~rng ~n:(1_000 + Sim.Rng.int rng 1_000) ~n_procs:8
+      ~n_keys:(500 + Sim.Rng.int rng 3_000)
+  in
+  if seed mod 3 = 0 then txns else Test_scale.mutate ~rng ~max_val txns
+
+(* Legal, session-free histories with scrambled invocation and response
+   times and few writers: the real-time checks, including the
+   writer-after-reader one, produce most of the verdicts. *)
+let scrambled ~mode_name seed =
+  let rng = Sim.Rng.make (seed + (0x5c4 * Hashtbl.hash mode_name)) in
+  let n = 30 + Sim.Rng.int rng 170 in
+  let n_keys = 1 + Sim.Rng.int rng 40 in
+  let p_write = [| 0.01; 0.03; 0.15 |].(seed mod 3) in
+  let store = Hashtbl.create 64 in
+  Array.init n (fun i ->
+      let key () = Printf.sprintf "k%d" (Sim.Rng.int rng n_keys) in
+      let inv = Sim.Rng.int rng (10 * n) in
+      let resp = inv + Sim.Rng.int rng 50 in
+      if Sim.Rng.bool rng p_write then begin
+        let k = key () in
+        Hashtbl.replace store k i;
+        { Rss_core.Witness.proc = i; reads = []; writes = [ (k, i) ]; inv; resp; ts = i; rank = 0 }
+      end
+      else
+        let reads = List.map (fun k -> (k, Hashtbl.find_opt store k)) [ key (); key () ] in
+        { Rss_core.Witness.proc = i; reads; writes = []; inv; resp; ts = i; rank = 1 })
+
+let test_witness () =
+  check string "witness valid battery"
+    "511fe69d6deac2d7a11930696df69917"
+    (witness_digest ~seeds:200 ~history:(battery ~salt:0x5ca1e ~mutated:false));
+  check string "witness mutated battery"
+    "842c64837c3eb4568304f184a51fb15d"
+    (witness_digest ~seeds:200 ~history:(battery ~salt:0xbad ~mutated:true));
+  check string "witness wide histories"
+    "90f631c6b2bfe198819e33fbebe71c66"
+    (witness_digest ~seeds:12 ~history:wide);
+  check string "witness scrambled real time"
+    "42bd1cc3b0d14d966e2859b62e715bca"
+    (witness_digest ~seeds:200 ~history:scrambled)
+
 let suites =
   [
     ( "scale.online_pins",
@@ -127,5 +190,6 @@ let suites =
         Alcotest.test_case "mutated battery digest" `Quick test_mutated;
         Alcotest.test_case "starved fallback digest" `Quick test_starved;
         Alcotest.test_case "suffix fallback digest" `Quick test_fallback;
+        Alcotest.test_case "witness check digest" `Quick test_witness;
       ] );
   ]
