@@ -17,6 +17,18 @@ let mutator_rank ~writes = if writes = [] then 1 else 0
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
+(* Per-key tables: string-specialised hashing, sized once from the history
+   so a long run does not rehash its way up from the floor. The distinct
+   keys number at most the key accesses, and a table holds two keys per
+   bucket before it resizes. *)
+module Keys = Hashtbl.Make (String)
+
+let key_table txns =
+  let accesses =
+    Array.fold_left (fun n x -> n + List.length x.reads + List.length x.writes) 0 txns
+  in
+  Keys.create (max 1024 (accesses / 2))
+
 (* Positions of txns sorted by (ts, rank, inv, index). *)
 let order txns =
   let n = Array.length txns in
@@ -38,7 +50,7 @@ let order txns =
   (idx, pos)
 
 let check_legal txns idx =
-  let store : (key, value) Hashtbl.t = Hashtbl.create 1024 in
+  let store : value Keys.t = key_table txns in
   let exception Violation of string in
   try
     Array.iter
@@ -47,8 +59,8 @@ let check_legal txns idx =
         if x.resp <> max_int then
           List.iter
             (fun (k, v) ->
-              let cur = Hashtbl.find_opt store k in
-              if cur <> v then
+              let cur = Keys.find_opt store k in
+              if not (Option.equal Int.equal cur v) then
                 raise
                   (Violation
                      (Fmt.str
@@ -58,7 +70,7 @@ let check_legal txns idx =
                         (match cur with None -> "nil" | Some v -> string_of_int v)
                         x.ts)))
             x.reads;
-        List.iter (fun (k, v) -> Hashtbl.replace store k v) x.writes)
+        List.iter (fun (k, v) -> Keys.replace store k v) x.writes)
       idx;
     Ok ()
   with Violation m -> Error m
@@ -117,14 +129,14 @@ let check_rt_mutators txns idx =
 let check_rt_conflicts txns idx =
   let exception Violation of string in
   (* max invocation among readers of each key, seen so far in order *)
-  let max_reader_inv : (key, int) Hashtbl.t = Hashtbl.create 1024 in
+  let max_reader_inv : int Keys.t = key_table txns in
   try
     Array.iter
       (fun i ->
         let x = txns.(i) in
         List.iter
           (fun (k, _) ->
-            match Hashtbl.find_opt max_reader_inv k with
+            match Keys.find_opt max_reader_inv k with
             | Some m when x.resp < m ->
               raise
                 (Violation
@@ -135,9 +147,9 @@ let check_rt_conflicts txns idx =
           x.writes;
         List.iter
           (fun (k, _) ->
-            match Hashtbl.find_opt max_reader_inv k with
+            match Keys.find_opt max_reader_inv k with
             | Some m when m >= x.inv -> ()
-            | Some _ | None -> Hashtbl.replace max_reader_inv k x.inv)
+            | Some _ | None -> Keys.replace max_reader_inv k x.inv)
           x.reads)
       idx;
     Ok ()

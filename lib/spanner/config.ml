@@ -54,20 +54,36 @@ let site_name t site =
 
 let shard_of_key t key = key mod t.n_shards
 
-let rtt_us t a b = Sim.Engine.ms t.rtt_ms.(a).(b)
+(* [Sim.Engine.ms]'s rounding, written out so the float stays unboxed: the
+   commit-latency estimate calls this several times per RW commit. *)
+let rtt_us t a b = int_of_float ((t.rtt_ms.(a).(b) *. 1_000.0) +. 0.5)
 
 let one_way_us t a b = rtt_us t a b / 2
 
+let rec count_at_most t leader rtt = function
+  | [] -> 0
+  | site :: rest ->
+    Bool.to_int (rtt_us t leader site <= rtt) + count_at_most t leader rtt rest
+
+(* The [rank]-th smallest (1-based) RTT from [leader] to [sites]: the
+   smallest RTT with at least [rank] RTTs at or below it. [best] is the
+   smallest found so far among the sites already passed. *)
+let rec rank_rtt t leader rank sites best = function
+  | [] -> best
+  | site :: rest ->
+    let rtt = rtt_us t leader site in
+    let best =
+      if rtt < best && count_at_most t leader rtt sites >= rank then rtt else best
+    in
+    rank_rtt t leader rank sites best rest
+
+(* A majority of the leader and its replicas: the leader plus the nearest
+   [needed] replicas, so the quorum RTT is the [needed]-th smallest. *)
 let replicate_us t ~shard =
-  let leader = t.leader_site.(shard) in
-  let rtts =
-    List.map (fun site -> rtt_us t leader site) t.replica_sites.(shard)
-    |> List.sort compare
-  in
-  let n = 1 + List.length t.replica_sites.(shard) in
-  let needed = (n / 2) + 1 - 1 in
+  let replicas = t.replica_sites.(shard) in
+  let needed = (1 + List.length replicas) / 2 in
   if needed = 0 then 0
-  else List.nth rtts (needed - 1)
+  else rank_rtt t t.leader_site.(shard) needed replicas max_int replicas
 
 let estimate_commit_latency_us t ~client_site ~participants =
   let latency_with_coord coord =

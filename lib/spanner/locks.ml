@@ -16,11 +16,16 @@ type entry = {
   mutable queue : request list;  (* FIFO: head = oldest *)
 }
 
+(* [table] holds an entry only while the key has a holder or a queued
+   request: [scan_key] removes it once it empties, so the table's size
+   tracks the keys in use, not every key ever touched. *)
 type t = {
   engine : Sim.Engine.t;
   table : (int, entry) Hashtbl.t;
   held : (int, (int * kind) list) Hashtbl.t;  (* txn -> locks *)
-  queued : (int, int list) Hashtbl.t;  (* txn -> keys with queued requests *)
+  queued : (int, int list) Hashtbl.t;
+      (* txn -> keys with queued requests; a key leaves when its request is
+         granted or dropped *)
   priorities : (int, int * int) Hashtbl.t;
   is_prepared : int -> bool;
   is_wounded : int -> bool;
@@ -32,6 +37,7 @@ type t = {
      try_acquire) only mark keys dirty, so no wakeup can be lost to
      re-entrancy. *)
   dirty : (int, unit) Hashtbl.t;
+  mutable last_dirty : int;  (* the key most recently marked dirty *)
   mutable draining : bool;
 }
 
@@ -48,6 +54,7 @@ let create engine ~is_prepared ~is_wounded ~wound ~wound_prepared =
     wound_prepared;
     wounds = 0;
     dirty = Hashtbl.create 64;
+    last_dirty = 0;
     draining = false;
   }
 
@@ -68,6 +75,8 @@ let holds_write t ~key ~txn =
   match Hashtbl.find_opt t.table key with None -> false | Some e -> e.writer = Some txn
 
 let wounds_inflicted t = t.wounds
+
+let n_entries t = Hashtbl.length t.table
 
 (* Any holder or queued waiter on a key in [lo, hi)? Used by the placement
    drain: a fenced range is quiescent only once every read/write lock in it
@@ -91,6 +100,21 @@ let record_held t txn key kind =
   let prev = try Hashtbl.find t.held txn with Not_found -> [] in
   Hashtbl.replace t.held txn ((key, kind) :: prev)
 
+let rec remove_one key = function
+  | [] -> []
+  | k :: rest -> if k = key then rest else k :: remove_one key rest
+
+(* [txn]'s request on [key] left the queue: drop one occurrence of [key]
+   from its [queued] keys (a txn may queue twice on one key). *)
+let unqueue t txn key =
+  match Hashtbl.find t.queued txn with
+  | keys -> Hashtbl.replace t.queued txn (remove_one key keys)
+  | exception Not_found -> ()
+
+let mark_dirty t key =
+  Hashtbl.replace t.dirty key ();
+  t.last_dirty <- key
+
 (* Remove [txn]'s locks and queued requests; returns affected keys and the
    continuations of its aborted queued requests. Only the keys the txn
    touched are visited (the [held] and [queued] indexes) — scanning the
@@ -103,9 +127,11 @@ let strip t txn =
   | Some locks ->
     List.iter
       (fun (key, _) ->
-        let e = entry t key in
-        if List.mem txn e.readers then e.readers <- List.filter (( <> ) txn) e.readers;
-        if e.writer = Some txn then e.writer <- None;
+        (match Hashtbl.find_opt t.table key with
+        | None -> ()
+        | Some e ->
+          if List.mem txn e.readers then e.readers <- List.filter (( <> ) txn) e.readers;
+          if e.writer = Some txn then e.writer <- None);
         affected := key :: !affected)
       locks;
     Hashtbl.remove t.held txn);
@@ -114,14 +140,14 @@ let strip t txn =
   | Some keys ->
     List.iter
       (fun key ->
-        let e = entry t key in
-        if List.exists (fun r -> r.txn = txn) e.queue then begin
+        match Hashtbl.find_opt t.table key with
+        | Some e when List.exists (fun r -> r.txn = txn) e.queue ->
           List.iter
             (fun r -> if r.txn = txn then aborted_ks := r.k :: !aborted_ks)
             e.queue;
           e.queue <- List.filter (fun r -> r.txn <> txn) e.queue;
           affected := key :: !affected
-        end)
+        | Some _ | None -> ())
       (List.sort_uniq compare keys);
     Hashtbl.remove t.queued txn);
   (List.sort_uniq compare !affected, !aborted_ks)
@@ -145,8 +171,7 @@ let older_queued_writer e req =
    request is now grantable and whether any state changed. Wounding a victim
    marks every key it blocked dirty (including this one — the owning drain
    loop re-scans it). *)
-let rec try_acquire t key req =
-  let e = entry t key in
+let rec try_acquire t e req =
   let holders = conflicting_holders e req in
   let blocked = ref false in
   let wounded_any = ref false in
@@ -166,19 +191,19 @@ let rec try_acquire t key req =
           (fun k -> Sim.Engine.schedule t.engine ~after:0 (fun () -> k Aborted))
           aborted;
         wounded_any := true;
-        List.iter (fun k -> Hashtbl.replace t.dirty k ()) affected
+        List.iter (mark_dirty t) affected
       end
       else blocked := true)
     holders;
   let grantable = (not !blocked) && not (older_queued_writer e req) in
   (grantable, !wounded_any)
 
-and grant t key req =
-  let e = entry t key in
+and grant t key e req =
   (match req.kind with
   | Read -> if not (List.mem req.txn e.readers) then e.readers <- req.txn :: e.readers
   | Write -> e.writer <- Some req.txn);
   record_held t req.txn key req.kind;
+  unqueue t req.txn key;
   let blocked_us = Sim.Engine.now t.engine - req.enqueued_at in
   Sim.Engine.schedule t.engine ~after:0 (fun () -> req.k (Granted { blocked_us }))
 
@@ -188,46 +213,53 @@ and grant t key req =
    wound chains stay coherent. Marks the key dirty again when anything
    changed. Scanning past blocked requests lets a younger writer wait
    without stalling readers behind it — and conversely — which plain
-   stop-at-head FIFO would deadlock on. *)
+   stop-at-head FIFO would deadlock on. A key whose entry has emptied
+   leaves the table (a key without an entry has nothing to scan). *)
 and scan_key t key =
-  let e = entry t key in
-  let progressed = ref false in
-  List.iter
-    (fun req ->
-      if List.memq req e.queue then
-        if t.is_wounded req.txn then begin
-          e.queue <- List.filter (fun r -> r != req) e.queue;
-          Sim.Engine.schedule t.engine ~after:0 (fun () -> req.k Aborted);
-          progressed := true
-        end
-        else begin
-          let grantable, wounded = try_acquire t key req in
-          if wounded then progressed := true;
-          if grantable then begin
+  match Hashtbl.find_opt t.table key with
+  | None -> ()
+  | Some e ->
+    let progressed = ref false in
+    List.iter
+      (fun req ->
+        if List.memq req e.queue then
+          if t.is_wounded req.txn then begin
             e.queue <- List.filter (fun r -> r != req) e.queue;
-            grant t key req;
+            unqueue t req.txn key;
+            Sim.Engine.schedule t.engine ~after:0 (fun () -> req.k Aborted);
             progressed := true
           end
-        end)
-    e.queue;
-  if !progressed then Hashtbl.replace t.dirty key ()
+          else begin
+            let grantable, wounded = try_acquire t e req in
+            if wounded then progressed := true;
+            if grantable then begin
+              e.queue <- List.filter (fun r -> r != req) e.queue;
+              grant t key e req;
+              progressed := true
+            end
+          end)
+      e.queue;
+    if !progressed then mark_dirty t key;
+    if e.readers = [] && e.writer = None && e.queue = [] then Hashtbl.remove t.table key
+
+(* The next dirty key: the one the bucket fold visits last. A set of one
+   key is almost always the key marked last, found without the fold. *)
+let pick_dirty t =
+  if Hashtbl.length t.dirty = 1 && Hashtbl.mem t.dirty t.last_dirty then t.last_dirty
+  else Hashtbl.fold (fun k () _ -> k) t.dirty t.last_dirty
 
 (* Mark a key for processing and, unless a drain loop already owns the
    table, drain until no key is dirty. *)
-and process_queue t key =
-  Hashtbl.replace t.dirty key ();
+let process_queue t key =
+  mark_dirty t key;
   if not t.draining then begin
     t.draining <- true;
-    let pick () = Hashtbl.fold (fun k () _ -> Some k) t.dirty None in
-    let rec drain () =
-      match pick () with
-      | None -> t.draining <- false
-      | Some k ->
-        Hashtbl.remove t.dirty k;
-        scan_key t k;
-        drain ()
-    in
-    drain ()
+    while Hashtbl.length t.dirty > 0 do
+      let k = pick_dirty t in
+      Hashtbl.remove t.dirty k;
+      scan_key t k
+    done;
+    t.draining <- false
   end
 
 let acquire t kind ~key ~txn ~priority k =
@@ -251,21 +283,3 @@ let release_all t ~txn =
   Hashtbl.remove t.priorities txn;
   List.iter (fun k -> Sim.Engine.schedule t.engine ~after:0 (fun () -> k Aborted)) aborted;
   List.iter (fun key -> process_queue t key) affected
-
-let pp_state ppf t =
-  Hashtbl.iter
-    (fun key e ->
-      if e.readers <> [] || e.writer <> None || e.queue <> [] then
-        Fmt.pf ppf "key %d: readers=[%a] writer=%a queue=[%a]@."
-          key
-          Fmt.(list ~sep:sp int)
-          e.readers
-          Fmt.(option ~none:(any "-") int)
-          e.writer
-          Fmt.(
-            list ~sep:sp (fun ppf r ->
-                Fmt.pf ppf "%d%s(p=%d,%d)" r.txn
-                  (match r.kind with Read -> "r" | Write -> "w")
-                  (fst r.priority) (snd r.priority)))
-          e.queue)
-    t.table

@@ -45,11 +45,12 @@ val holds_write : t -> key:int -> txn:int -> bool
 
 val wounds_inflicted : t -> int
 
+val n_entries : t -> int
+(** Keys with an entry in the table. A key keeps its entry only while it
+    has a holder or a queued request, so this is 0 once every transaction
+    has released. *)
+
 val any_busy_in : t -> lo:int -> hi:int -> bool
 (** Does any key in [\[lo, hi)] have a lock holder (read or write) or a
     queued request? The placement drain polls this until the fenced range
     is quiescent. *)
-
-val pp_state : Format.formatter -> t -> unit
-(** Diagnostic dump of holders and queued requests per key (non-empty
-    entries only). *)

@@ -25,6 +25,7 @@ type t = {
   mutable locks : Locks.t;
   store : (int, Types.version list) Hashtbl.t;
   prepared_tbl : (int, prepared) Hashtbl.t;
+  prepared_keys : (int, int) Hashtbl.t;  (* key -> prepared writes to it *)
   decided_tbl : (int, Types.outcome * int) Hashtbl.t;  (* outcome, max_tee *)
   in_doubt : (int, unit) Hashtbl.t;  (* status queries in flight *)
   mutable max_write_ts : int;
@@ -70,6 +71,7 @@ let create engine net tt txns (config : Config.t) ~shard_id =
     locks;
     store = Hashtbl.create 4096;
     prepared_tbl;
+    prepared_keys = Hashtbl.create 64;
     decided_tbl = Hashtbl.create 64;
     in_doubt = Hashtbl.create 8;
     max_write_ts = 0;
@@ -103,34 +105,56 @@ let choose_prepare_ts t =
   t.max_write_ts <- tp;
   tp
 
-let trace_txn = ref (-1)
+(* [prepared_keys] counts, per key, the writes of the prepared txns that
+   name it. Every change to [prepared_tbl] goes through [add_prepared] and
+   [remove_prepared], which keep the two in step. *)
+let rec index_writes keys d = function
+  | [] -> ()
+  | (key, _) :: rest ->
+    let n = try Hashtbl.find keys key with Not_found -> 0 in
+    if n + d = 0 then Hashtbl.remove keys key else Hashtbl.replace keys key (n + d);
+    index_writes keys d rest
+
+let remove_prepared t txn =
+  match Hashtbl.find_opt t.prepared_tbl txn with
+  | None -> None
+  | Some p as found ->
+    Hashtbl.remove t.prepared_tbl txn;
+    index_writes t.prepared_keys (-1) p.p_writes;
+    found
 
 let add_prepared t p =
-  if p.p_txn = !trace_txn then
-    Fmt.epr "[shard %d] add_prepared txn %d tp=%d@." t.shard_id p.p_txn p.p_tp;
-  Hashtbl.replace t.prepared_tbl p.p_txn p
+  (match Hashtbl.find_opt t.prepared_tbl p.p_txn with
+  | Some old -> index_writes t.prepared_keys (-1) old.p_writes
+  | None -> ());
+  Hashtbl.replace t.prepared_tbl p.p_txn p;
+  index_writes t.prepared_keys 1 p.p_writes
 
 let prepared t txn = Hashtbl.find_opt t.prepared_tbl txn
 
+let rec any_indexed keys = function
+  | [] -> false
+  | k :: rest -> Hashtbl.mem keys k || any_indexed keys rest
+
+(* Most reads name no key with a prepared write: the index answers those
+   without visiting the prepared table. Otherwise the fold below yields the
+   list, so its order is the table's. *)
 let conflicting_prepared t ~keys ~max_tp =
-  Hashtbl.fold
-    (fun _ p acc ->
-      if p.p_tp <= max_tp && List.exists (fun (k, _) -> List.mem k keys) p.p_writes
-      then p :: acc
-      else acc)
-    t.prepared_tbl []
+  if not (any_indexed t.prepared_keys keys) then []
+  else
+    Hashtbl.fold
+      (fun _ p acc ->
+        if p.p_tp <= max_tp && List.exists (fun (k, _) -> List.mem k keys) p.p_writes
+        then p :: acc
+        else acc)
+      t.prepared_tbl []
 
 let wait_prepared _t p k = p.p_waiters <- k :: p.p_waiters
 
 let resolve_prepared t ~txn outcome =
-  if txn = !trace_txn then
-    Fmt.epr "[shard %d] resolve txn %d present=%b outcome=%s@." t.shard_id txn
-      (Hashtbl.mem t.prepared_tbl txn)
-      (match outcome with Types.Committed tc -> Fmt.str "commit@%d" tc | Types.Aborted -> "abort");
-  match Hashtbl.find_opt t.prepared_tbl txn with
+  match remove_prepared t txn with
   | None -> ()
   | Some p ->
-    Hashtbl.remove t.prepared_tbl txn;
     (match outcome with
     | Types.Committed tc ->
       List.iter (fun (key, value) -> apply_write t ~key ~ts:tc ~writer:txn ~value) p.p_writes;
@@ -201,6 +225,7 @@ let set_decided t ~txn outcome ~max_tee =
 let rebuild t ~entries =
   t.n_rebuilds <- t.n_rebuilds + 1;
   Hashtbl.reset t.prepared_tbl;
+  Hashtbl.reset t.prepared_keys;
   Hashtbl.reset t.store;
   Hashtbl.reset t.decided_tbl;
   Hashtbl.reset t.in_doubt;
@@ -225,7 +250,7 @@ let rebuild t ~entries =
       | Types.Routcome r ->
         if not (Hashtbl.mem t.decided_tbl r.r_txn) then begin
           Hashtbl.replace t.decided_tbl r.r_txn (r.r_out, r.r_max_tee);
-          Hashtbl.remove t.prepared_tbl r.r_txn;
+          ignore (remove_prepared t r.r_txn);
           match r.r_out with
           | Types.Committed tc ->
             List.iter

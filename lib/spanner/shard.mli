@@ -42,6 +42,11 @@ type t = {
   mutable locks : Locks.t;
   store : (int, Types.version list) Hashtbl.t;
   prepared_tbl : (int, prepared) Hashtbl.t;
+      (** read-only outside this module: {!add_prepared},
+          {!resolve_prepared} and {!rebuild} keep [prepared_keys] in step
+          with it *)
+  prepared_keys : (int, int) Hashtbl.t;
+      (** per key, the number of prepared writes to it *)
   decided_tbl : (int, Types.outcome * int) Hashtbl.t;
       (** per-txn decided outcome and max t_ee; answers terminate/status
           queries and deduplicates outcome deliveries *)
@@ -72,9 +77,6 @@ val advance_max_write_ts : t -> int -> unit
 
 val choose_prepare_ts : t -> int
 (** A fresh prepare timestamp > [max_write_ts]; advances [max_write_ts]. *)
-
-val trace_txn : int ref
-(** Diagnostic: print prepared-table events for this txn id to stderr. *)
 
 val add_prepared : t -> prepared -> unit
 

@@ -1,6 +1,7 @@
 (* Direct unit tests for the Spanner lock table: shared/exclusive semantics,
    upgrades, wound-wait priorities, prepared-holder escalation, queue
-   fairness, and release processing. *)
+   fairness, release processing, the drain order after a multi-key wound,
+   and a random-workload property against a grant model. *)
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -224,6 +225,83 @@ let test_multi_key_wound_order () =
   check (Alcotest.list Alcotest.string) "release wave" [ "g8@3"; "g14@6" ] wave2;
   check int "one wound" 1 (Spanner.Locks.wounds_inflicted h.locks)
 
+(* Random acquire / prepare / release workloads over six txns and five
+   keys, with wounds from conflicting priorities here and from elsewhere
+   (a txn marked wounded without this table stripping it, as when another
+   shard wounds it). The reference model is built from what the table
+   reports: a txn holds what its Granted continuations announced, until
+   this table wounds it or it releases. After every step
+   [holds_read]/[holds_write] must agree with the model; once every txn has
+   released, the table must hold no entry at all. *)
+let prop_model =
+  let op = QCheck.Gen.(triple (int_bound 8) (int_range 1 6) (int_bound 4)) in
+  QCheck.Test.make ~name:"holds_* match the grant model; table empties" ~count:500
+    (QCheck.make QCheck.Gen.(list_size (int_bound 80) op))
+    (fun ops ->
+      let engine = Sim.Engine.create () in
+      let prepared = Hashtbl.create 8 in
+      let wounded = Hashtbl.create 8 in
+      let gone = Hashtbl.create 8 in  (* wounded here, or released *)
+      let held = Hashtbl.create 8 in  (* (txn, key) -> write held? *)
+      let forget txn =
+        Hashtbl.replace gone txn ();
+        Hashtbl.filter_map_inplace (fun (t, _) w -> if t = txn then None else Some w) held
+      in
+      let locks =
+        Spanner.Locks.create engine
+          ~is_prepared:(Hashtbl.mem prepared)
+          ~is_wounded:(Hashtbl.mem wounded)
+          ~wound:(fun txn ->
+            Hashtbl.replace wounded txn ();
+            forget txn)
+          ~wound_prepared:(fun _ -> ())
+      in
+      let on_grant txn key write = function
+        | Spanner.Locks.Granted _ when not (Hashtbl.mem gone txn) ->
+          let had = Option.value ~default:false (Hashtbl.find_opt held (txn, key)) in
+          Hashtbl.replace held (txn, key) (had || write)
+        | Spanner.Locks.Granted _ | Spanner.Locks.Aborted -> ()
+      in
+      let agrees () =
+        List.for_all
+          (fun txn ->
+            List.for_all
+              (fun key ->
+                let m = Hashtbl.find_opt held (txn, key) in
+                Spanner.Locks.holds_read locks ~key ~txn = (m <> None)
+                && Spanner.Locks.holds_write locks ~key ~txn = (m = Some true))
+              [ 0; 1; 2; 3; 4 ])
+          [ 1; 2; 3; 4; 5; 6 ]
+      in
+      let released = Hashtbl.create 8 in
+      let release txn =
+        Hashtbl.replace released txn ();
+        forget txn;
+        Spanner.Locks.release_all locks ~txn
+      in
+      let step (code, txn, key) =
+        (if Hashtbl.mem released txn then ()
+         else if code < 6 then begin
+           let write = code >= 3 in
+           let acquire =
+             if write then Spanner.Locks.acquire_write else Spanner.Locks.acquire_read
+           in
+           acquire locks ~key ~txn ~priority:(txn * 10, txn) (on_grant txn key write)
+         end
+         else if code = 6 then release txn
+         else if Hashtbl.mem wounded txn then ()
+         else if code = 7 then Hashtbl.replace prepared txn ()
+         else if not (Hashtbl.mem prepared txn) then Hashtbl.replace wounded txn ());
+        Sim.Engine.run engine;
+        agrees ()
+      in
+      List.for_all step ops
+      && begin
+           List.iter release [ 1; 2; 3; 4; 5; 6 ];
+           Sim.Engine.run engine;
+           agrees () && Spanner.Locks.n_entries locks = 0
+         end)
+
 let suites =
   [
     ( "spanner.locks",
@@ -246,5 +324,6 @@ let suites =
         Alcotest.test_case "wound counter" `Quick test_wound_counter;
         Alcotest.test_case "re-acquire held" `Quick test_reacquire_held_lock;
         Alcotest.test_case "multi-key wound order" `Quick test_multi_key_wound_order;
+        QCheck_alcotest.to_alcotest prop_model;
       ] );
   ]

@@ -40,6 +40,28 @@ let test_config_coordinator_choice () =
   check bool "latency plausible" true (lat > 150_000 && lat < 220_000);
   check bool "coordinator among participants" true (coord = 0 || coord = 1)
 
+(* [replicate_us] is the [(n/2)]-th smallest leader-to-replica RTT (n
+   counting the leader) for any replica list, ties and repeats included:
+   compare it with sorting the RTTs. *)
+let prop_replicate_us_rank =
+  QCheck.Test.make ~name:"replicate_us = rank of the sorted RTTs" ~count:300
+    QCheck.(
+      pair
+        (list_of_size (Gen.int_range 0 5) (int_range 0 3))
+        (array_of_size (Gen.return 16) (int_range 0 4)))
+    (fun (replicas, rtts) ->
+      let base = Spanner.Config.wan3 ~mode:Spanner.Config.Rss () in
+      let rtt_ms = Array.init 4 (fun a -> Array.init 4 (fun b -> float rtts.((4 * a) + b) *. 0.5)) in
+      let c =
+        { base with Spanner.Config.rtt_ms; leader_site = [| 0 |]; replica_sites = [| replicas |] }
+      in
+      let sorted =
+        List.sort compare (List.map (fun site -> Sim.Engine.ms rtt_ms.(0).(site)) replicas)
+      in
+      let needed = (1 + List.length replicas) / 2 in
+      let expected = if needed = 0 then 0 else List.nth sorted (needed - 1) in
+      Spanner.Config.replicate_us c ~shard:0 = expected)
+
 let test_single_dc_config () =
   let c = Spanner.Config.single_dc ~mode:Spanner.Config.Strict ~n_shards:8 ~service_time_us:20 () in
   check int "shards" 8 c.Spanner.Config.n_shards;
@@ -536,13 +558,123 @@ let test_small_run_exact_search () =
       (Spanner.Config.Strict, Rss_core.Check_txn.Strict_serializable);
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Prepared-write index                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Random add / resolve / rebuild sequences on one shard. After each step,
+   [conflicting_prepared] must return exactly the list (same order) that
+   the unindexed fold over the prepared table returns, for every single key
+   and for the step's own key set, and the per-key counts must match a
+   recount of the table. *)
+let prop_prepared_index =
+  let op =
+    QCheck.Gen.(
+      quad (int_bound 9) (int_bound 7) (int_range 1 60)
+        (list_size (int_bound 3) (int_bound 9)))
+  in
+  QCheck.Test.make ~name:"indexed conflicting_prepared = unindexed fold" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_bound 60) op))
+    (fun ops ->
+      let engine = Sim.Engine.create () in
+      let config = Spanner.Config.wan3 ~mode:Spanner.Config.Rss () in
+      let net =
+        Sim.Net.create engine ~rng:(Sim.Rng.make 1) ~rtt_ms:config.Spanner.Config.rtt_ms ()
+      in
+      let tt = Sim.Truetime.create engine ~epsilon_us:config.Spanner.Config.epsilon_us in
+      let txns = Spanner.Types.table_create () in
+      let ids =
+        Array.init 8 (fun i ->
+            (Spanner.Types.fresh txns ~proc:i ~priority:(i, i)).Spanner.Types.id)
+      in
+      let sh = Spanner.Shard.create engine net tt txns config ~shard_id:0 in
+      let log = ref [] in
+      let next_tc = ref 1_000 in
+      let unindexed ~keys ~max_tp =
+        Hashtbl.fold
+          (fun _ (p : Spanner.Shard.prepared) acc ->
+            if p.p_tp <= max_tp && List.exists (fun (k, _) -> List.mem k keys) p.p_writes
+            then p :: acc
+            else acc)
+          sh.Spanner.Shard.prepared_tbl []
+      in
+      let agrees ~keys ~max_tp =
+        List.equal ( == )
+          (Spanner.Shard.conflicting_prepared sh ~keys ~max_tp)
+          (unindexed ~keys ~max_tp)
+      in
+      let counts_match () =
+        let recount = Hashtbl.create 16 in
+        Hashtbl.iter
+          (fun _ (p : Spanner.Shard.prepared) ->
+            List.iter
+              (fun (k, _) ->
+                Hashtbl.replace recount k
+                  (1 + Option.value ~default:0 (Hashtbl.find_opt recount k)))
+              p.p_writes)
+          sh.Spanner.Shard.prepared_tbl;
+        let sorted tbl = List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) tbl []) in
+        sorted recount = sorted sh.Spanner.Shard.prepared_keys
+      in
+      List.for_all
+        (fun (kind, i, tp, keys) ->
+          let txn = ids.(i) in
+          (if kind < 5 then begin
+             let writes = List.map (fun k -> (k, (txn * 100) + k)) (List.sort_uniq compare keys) in
+             Spanner.Shard.add_prepared sh
+               {
+                 Spanner.Shard.p_txn = txn;
+                 p_tp = tp;
+                 p_tee = 0;
+                 p_writes = writes;
+                 p_waiters = [];
+                 p_coord = 0;
+                 p_participants = [];
+               };
+             log :=
+               Spanner.Types.Rprepare
+                 {
+                   r_txn = txn;
+                   r_tp = tp;
+                   r_tee = 0;
+                   r_writes = writes;
+                   r_coord = 0;
+                   r_participants = [];
+                 }
+               :: !log
+           end
+           else if kind < 9 then begin
+             match Spanner.Shard.prepared sh txn with
+             | None -> ()
+             | Some p ->
+               let out =
+                 if kind < 7 then begin
+                   incr next_tc;
+                   Spanner.Types.Committed !next_tc
+                 end
+                 else Spanner.Types.Aborted
+               in
+               Spanner.Shard.resolve_prepared sh ~txn out;
+               log :=
+                 Spanner.Types.Routcome
+                   { r_txn = txn; r_out = out; r_writes = p.p_writes; r_max_tee = 0 }
+                 :: !log
+           end
+           else Spanner.Shard.rebuild sh ~entries:(List.rev !log));
+          counts_match ()
+          && agrees ~keys ~max_tp:tp
+          && List.for_all (fun k -> agrees ~keys:[ k ] ~max_tp:60) (List.init 10 Fun.id))
+        ops)
+
 let suites =
   [
+    ("spanner.prepared_index", [ QCheck_alcotest.to_alcotest prop_prepared_index ]);
     ( "spanner.config",
       [
         Alcotest.test_case "replication latency" `Quick test_config_replication_latency;
         Alcotest.test_case "coordinator choice" `Quick test_config_coordinator_choice;
         Alcotest.test_case "single-dc config" `Quick test_single_dc_config;
+        QCheck_alcotest.to_alcotest prop_replicate_us_rank;
       ] );
     ( "spanner.basic",
       [
