@@ -668,7 +668,7 @@ let prop_prepared_index =
 
 let suites =
   [
-    ("spanner.prepared_index", [ QCheck_alcotest.to_alcotest prop_prepared_index ]);
+    ("spanner.prep_index", [ QCheck_alcotest.to_alcotest prop_prepared_index ]);
     ( "spanner.config",
       [
         Alcotest.test_case "replication latency" `Quick test_config_replication_latency;
