@@ -1,4 +1,4 @@
-(* Batching / group-commit sweep.
+(* Batching / group-commit section.
 
    Drives the two single-DC saturation scenarios (spanner-dc, gryff-dc) with
    batching off (the baseline) and across a sweep of link-batching policies
@@ -7,24 +7,13 @@
    saturation throughput by cutting messages per transaction, without the
    online checker losing the history.
 
-   Output is machine-readable JSON (default [BENCH_batch.json]):
+     dune exec bench/suite.exe -- batch            # full sizes, ~1 min
+     dune exec bench/suite.exe -- --smoke batch    # CI sizes
 
-     dune exec bench/batch.exe --              # full sizes, ~1 min
-     dune exec bench/batch.exe -- --smoke      # CI sizes, a few seconds
-
-   Exit status: 1 if any online-checked run failed verification, if a
-   batched policy did not reduce spanner-dc messages per transaction, or if
-   a full (non-smoke) run's best policy missed the >= 15% spanner-dc
-   saturation-throughput gain this suite exists to defend. *)
-
-let verdict_name = function
-  | Harness.Run.Pass -> "pass"
-  | Harness.Run.Fail _ -> "fail"
-  | Harness.Run.Unknown _ -> "unknown"
-
-let verdict_detail = function
-  | Harness.Run.Pass -> ""
-  | Harness.Run.Fail m | Harness.Run.Unknown m -> m
+   Gates: every run did work, every online-checked run passed, every
+   batched run coalesced, every batched policy cut spanner-dc messages per
+   transaction, and a full (non-smoke) run's best policy reached the >= 15%
+   spanner-dc saturation-throughput gain this section exists to defend. *)
 
 type measured = {
   check : string;  (* "none" | "online" *)
@@ -58,8 +47,8 @@ let measure ~check_name (f : unit -> Harness.Run.t) =
     cpu_s;
     batch_envelopes = Harness.Run.counter r "batch.envelopes";
     batch_members = Harness.Run.counter r "batch.members";
-    verdict = verdict_name r.Harness.Run.check;
-    detail = verdict_detail r.Harness.Run.check;
+    verdict = Section.verdict_name r.Harness.Run.check;
+    detail = Section.verdict_detail r.Harness.Run.check;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -107,146 +96,147 @@ let scenarios ~seed =
     };
   ]
 
-(* ------------------------------------------------------------------ *)
-(* JSON emission (hand-rolled; the repo deliberately has no JSON dep)   *)
-(* ------------------------------------------------------------------ *)
+let measured_json m =
+  Obs.Json.(
+    Obj
+      [
+        ("check", Str m.check);
+        ("n_ops", int m.n_ops);
+        ("throughput_tps", Num m.tput);
+        ("p50_ms", opt (fun f -> Num f) m.p50_ms);
+        ("msgs_per_txn", opt (fun f -> Num f) m.msgs_per_txn);
+        ("msgs_per_op", Num m.msgs_per_op);
+        ("cpu_s", Num m.cpu_s);
+        ("batch_envelopes", int m.batch_envelopes);
+        ("batch_members", int m.batch_members);
+        ("verdict", Str m.verdict);
+        ("detail", Str m.detail);
+      ])
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f = if Float.is_nan f then "null" else Printf.sprintf "%.6f" f
-
-let json_float_opt = function None -> "null" | Some f -> json_float f
-
-let measured_json b m =
-  Printf.bprintf b
-    "{\"check\": \"%s\", \"n_ops\": %d, \"throughput_tps\": %s, \"p50_ms\": \
-     %s, \"msgs_per_txn\": %s, \"msgs_per_op\": %s, \"cpu_s\": %s, \
-     \"batch_envelopes\": %d, \"batch_members\": %d, \"verdict\": \"%s\", \
-     \"detail\": \"%s\"}"
-    m.check m.n_ops (json_float m.tput) (json_float_opt m.p50_ms)
-    (json_float_opt m.msgs_per_txn) (json_float m.msgs_per_op)
-    (json_float m.cpu_s) m.batch_envelopes m.batch_members m.verdict
-    (json_escape m.detail)
+let pair_json (raw, online) =
+  Obs.Json.Obj [ ("raw", measured_json raw); ("online", measured_json online) ]
 
 (* ------------------------------------------------------------------ *)
-(* Main                                                                *)
+(* Section                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let () =
-  let smoke = ref false in
-  let out = ref "BENCH_batch.json" in
-  let seed = ref 42 in
-  Arg.parse
-    [
-      ("--smoke", Arg.Set smoke, " CI sizes (seconds, not minutes)");
-      ("--out", Arg.Set_string out, "FILE output path (default BENCH_batch.json)");
-      ("--seed", Arg.Set_int seed, "N workload seed (default 42)");
-    ]
-    (fun a -> raise (Arg.Bad ("unexpected argument: " ^ a)))
-    "batch [--smoke] [--out FILE] [--seed N]";
-  let failed = ref false in
-  let b = Buffer.create 4096 in
-  Printf.bprintf b
-    "{\n  \"schema\": \"rss-repro/batch/v1\",\n  \"smoke\": %b,\n  \"seed\": \
-     %d,\n  \"scenarios\": [\n"
-    !smoke !seed;
-  let spanner_gain = ref nan in
-  let scs = scenarios ~seed:!seed in
-  List.iteri
-    (fun i sc ->
-      let duration_s = if !smoke then sc.smoke_duration_s else sc.duration_s in
-      Printf.printf "== %s (%.1f simulated s) ==\n%!" sc.name duration_s;
-      let run_pair env_of_check =
-        let raw =
-          measure ~check_name:"none" (fun () ->
-              sc.run ~env:(env_of_check `No_check) ~duration_s)
-        in
-        let online =
-          measure ~check_name:"online" (fun () ->
-              sc.run ~env:(env_of_check `Online) ~duration_s)
-        in
-        if online.verdict = "fail" then begin
-          Printf.printf "   CONSISTENCY FAILURE: %s\n%!" online.detail;
-          failed := true
-        end;
-        (raw, online)
-      in
-      let base_raw, base_online =
-        run_pair (fun check -> Harness.Env.(default |> with_check check))
-      in
-      Printf.printf "   baseline:       %8.0f tps  %6.2f msgs/op\n%!"
-        base_online.tput base_online.msgs_per_op;
-      Printf.bprintf b
-        "    {\"name\": \"%s\", \"baseline\": {\"raw\": " sc.name;
-      measured_json b base_raw;
-      Buffer.add_string b ", \"online\": ";
-      measured_json b base_online;
-      Buffer.add_string b "},\n     \"sweep\": [\n";
-      let best = ref neg_infinity in
-      List.iteri
-        (fun j (pname, policy) ->
-          let raw, online =
-            run_pair (fun check ->
-                Harness.Env.(
-                  default |> with_check check |> with_batching (Some policy)))
+(* Whether every batched policy sent fewer messages per transaction than
+   the unbatched baseline. *)
+let msgs_drop (_, base) sweep =
+  List.for_all
+    (fun (_, _, (_, online)) ->
+      match (online.msgs_per_txn, base.msgs_per_txn) with
+      | Some m, Some b -> m < b
+      | _ -> false)
+    sweep
+
+let run ~smoke : Section.t =
+  let results =
+    List.map
+      (fun sc ->
+        let duration_s = if smoke then sc.smoke_duration_s else sc.duration_s in
+        Printf.printf "== %s (%.1f simulated s) ==\n%!" sc.name duration_s;
+        let run_pair env_of_check =
+          let raw =
+            measure ~check_name:"none" (fun () ->
+                sc.run ~env:(env_of_check `No_check) ~duration_s)
           in
-          Printf.printf
-            "   %-15s %8.0f tps  %6.2f msgs/op  avg batch %4.1f  verdict=%s\n%!"
-            pname online.tput online.msgs_per_op
-            (float_of_int online.batch_members
-            /. float_of_int (max 1 online.batch_envelopes))
-            online.verdict;
-          if online.tput > !best then best := online.tput;
-          if sc.name = "spanner-dc-rss" then begin
-            match (online.msgs_per_txn, base_online.msgs_per_txn) with
-            | Some m, Some base when m >= base ->
+          let online =
+            measure ~check_name:"online" (fun () ->
+                sc.run ~env:(env_of_check `Online) ~duration_s)
+          in
+          if online.verdict <> "pass" then
+            Printf.printf "   CONSISTENCY %s: %s\n%!"
+              (String.uppercase_ascii online.verdict)
+              online.detail;
+          (raw, online)
+        in
+        let baseline =
+          run_pair (fun check -> Harness.Env.(default |> with_check check))
+        in
+        let base_online = snd baseline in
+        Printf.printf "   baseline:       %8.0f tps  %6.2f msgs/op\n%!"
+          base_online.tput base_online.msgs_per_op;
+        let sweep =
+          List.map
+            (fun (pname, policy) ->
+              let raw, online =
+                run_pair (fun check ->
+                    Harness.Env.(
+                      default |> with_check check |> with_batching (Some policy)))
+              in
               Printf.printf
-                "   MESSAGE REGRESSION: %s msgs_per_txn %.2f >= baseline %.2f\n%!"
-                pname m base;
-              failed := true
-            | _ -> ()
-          end;
-          Printf.bprintf b
-            "      {\"policy\": \"%s\", \"batch_us\": %d, \"batch_max\": %d, \
-             \"adaptive\": %b, \"raw\": "
-            pname policy.Sim.Net.batch_us policy.Sim.Net.batch_max
-            policy.Sim.Net.adaptive;
-          measured_json b raw;
-          Buffer.add_string b ", \"online\": ";
-          measured_json b online;
-          Printf.bprintf b "}%s\n"
-            (if j < List.length policies - 1 then "," else ""))
-        policies;
-      let gain = (!best -. base_online.tput) /. Float.max 1e-9 base_online.tput in
-      Printf.printf "   best gain over baseline: %+.1f%%\n%!" (gain *. 100.0);
-      if sc.name = "spanner-dc-rss" then begin
-        spanner_gain := gain;
-        if (not !smoke) && gain < 0.15 then begin
-          Printf.printf
-            "   THROUGHPUT REGRESSION: best batched gain %.1f%% < required 15%%\n%!"
-            (gain *. 100.0);
-          failed := true
-        end
-      end;
-      Printf.bprintf b "     ],\n     \"best_gain\": %s}%s\n" (json_float gain)
-        (if i < List.length scs - 1 then "," else ""))
-    scs;
-  Printf.bprintf b "  ],\n  \"spanner_dc_gain\": %s\n}\n"
-    (json_float !spanner_gain);
-  let oc = open_out !out in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" !out;
-  if !failed then exit 1
+                "   %-15s %8.0f tps  %6.2f msgs/op  avg batch %4.1f  verdict=%s\n%!"
+                pname online.tput online.msgs_per_op
+                (float_of_int online.batch_members
+                /. float_of_int (max 1 online.batch_envelopes))
+                online.verdict;
+              (pname, policy, (raw, online)))
+            policies
+        in
+        let best =
+          List.fold_left
+            (fun acc (_, _, (_, online)) -> Float.max acc online.tput)
+            neg_infinity sweep
+        in
+        let gain = (best -. base_online.tput) /. Float.max 1e-9 base_online.tput in
+        Printf.printf "   best gain over baseline: %+.1f%%\n%!" (gain *. 100.0);
+        (sc, baseline, sweep, gain))
+      (scenarios ~seed:Section.seed)
+  in
+  let spanner = List.filter (fun (sc, _, _, _) -> sc.name = "spanner-dc-rss") results in
+  let spanner_gain = match spanner with (_, _, _, g) :: _ -> g | [] -> nan in
+  let report =
+    Obs.Json.(
+      Obj
+        [
+          ("seed", int Section.seed);
+          ( "scenarios",
+            Arr
+              (List.map
+                 (fun (sc, baseline, sweep, gain) ->
+                   Obj
+                     [
+                       ("name", Str sc.name);
+                       ("baseline", pair_json baseline);
+                       ( "sweep",
+                         Arr
+                           (List.map
+                              (fun (pname, policy, pair) ->
+                                Obj
+                                  [
+                                    ("policy", Str pname);
+                                    ("batch_us", int policy.Sim.Net.batch_us);
+                                    ("batch_max", int policy.Sim.Net.batch_max);
+                                    ("adaptive", Bool policy.Sim.Net.adaptive);
+                                    ("raw", measured_json (fst pair));
+                                    ("online", measured_json (snd pair));
+                                  ])
+                              sweep) );
+                       ("best_gain", Num gain);
+                     ])
+                 results) );
+          ("spanner_dc_gain", Num spanner_gain);
+        ])
+  in
+  let baselines = List.map (fun (_, b, _, _) -> b) results in
+  let sweeps = List.concat_map (fun (_, _, s, _) -> List.map (fun (_, _, p) -> p) s) results in
+  let did_work (raw, online) = raw.n_ops > 0 && online.n_ops > 0 in
+  let passed (_, online) = online.verdict = "pass" in
+  let gates =
+    [
+      ("scenarios", List.length results = 2);
+      ("baseline_did_work", List.for_all did_work baselines);
+      ("sweep_did_work", List.for_all did_work sweeps);
+      ("baseline_online_pass", List.for_all passed baselines);
+      ("sweep_online_pass", List.for_all passed sweeps);
+      ( "batches_coalesce",
+        List.for_all
+          (fun (_, o) -> o.batch_envelopes > 0 && o.batch_members >= o.batch_envelopes)
+          sweeps );
+      ( "spanner_msgs_per_txn_drop",
+        List.for_all (fun (_, baseline, sweep, _) -> msgs_drop baseline sweep) spanner );
+    ]
+    @ if smoke then [] else [ ("spanner_gain_15pct", spanner_gain >= 0.15) ]
+  in
+  (report, gates)

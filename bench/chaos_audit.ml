@@ -1,13 +1,12 @@
-(* Long-form chaos audit battery — every nemesis preset against every
-   protocol, several seeds each, plus a chaos-wrapped harness benchmark.
-   Excluded from tier-1 `dune runtest`; run with:
+(* Chaos audit section — every nemesis preset against every protocol,
+   several seeds each, plus chaos-wrapped harness benchmarks. Excluded
+   from tier-1 `dune runtest`; run with:
 
-     dune exec bench/chaos_audit.exe            # full battery
-     dune exec bench/chaos_audit.exe -- quick   # one seed per cell *)
+     dune exec bench/suite.exe -- audit            # full battery
+     dune exec bench/suite.exe -- --smoke audit    # one seed per cell
 
-let seeds = function
-  | [ "quick" ] -> [ 7 ]
-  | _ -> [ 7; 23; 101 ]
+   Gates: every battery cell passes its offline check and stays live, and
+   every chaos-wrapped harness run passes. *)
 
 let duration_s = 20.0
 
@@ -41,24 +40,34 @@ let audit_cell protocol preset ~seed =
     verdict live r.Chaos.Audit.ops_completed (c "op.unacked_commits_swept")
     (c "fault.dropped_crash") (c "fault.dropped_partition")
     (c "fault.dropped_loss") failover_summary;
-  (r.Chaos.Audit.check = Ok (), Chaos.Audit.liveness_ok r)
+  Obs.Json.(
+    Obj
+      [
+        ("protocol", Str (Chaos.Audit.protocol_name protocol));
+        ("preset", Str (Chaos.Nemesis.preset_name preset));
+        ("seed", int seed);
+        ("verdict", Str (if r.Chaos.Audit.check = Ok () then "pass" else "fail"));
+        ("detail", Str (match r.Chaos.Audit.check with Ok () -> "" | Error m -> m));
+        ("live", Bool (Chaos.Audit.liveness_ok r));
+        ("ops", int r.Chaos.Audit.ops_completed);
+        ("view_changes", int r.Chaos.Audit.view_changes);
+      ]),
+  r.Chaos.Audit.check = Ok () && Chaos.Audit.liveness_ok r
 
 let battery seeds =
   Fmt.pr "== nemesis battery (%g s simulated per cell) ==@." duration_s;
-  let ok = ref 0 and bad = ref 0 in
-  List.iter
-    (fun protocol ->
-      List.iter
-        (fun (_, preset) ->
-          List.iter
-            (fun seed ->
-              let checked, live = audit_cell protocol preset ~seed in
-              if checked && live then incr ok else incr bad)
-            seeds)
-        Chaos.Nemesis.presets)
-    Chaos.Audit.protocols;
-  Fmt.pr "battery: %d passed, %d failed@.@." !ok !bad;
-  !bad = 0
+  let cells =
+    List.concat_map
+      (fun protocol ->
+        List.concat_map
+          (fun (_, preset) ->
+            List.map (fun seed -> audit_cell protocol preset ~seed) seeds)
+          Chaos.Nemesis.presets)
+      Chaos.Audit.protocols
+  in
+  let bad = List.length (List.filter (fun (_, ok) -> not ok) cells) in
+  Fmt.pr "battery: %d passed, %d failed@.@." (List.length cells - bad) bad;
+  cells
 
 (* The harness integration path: the paper's §6.1 benchmark wrapped in a
    partition-heal schedule, fault accounting through the Summary tables. *)
@@ -105,10 +114,36 @@ let harness_demo () =
   in
   Fmt.pr "== chaos-wrapped gryff_wan (link-loss) ==@.";
   Harness.Run.print_summary ~header:"gryff-rsc" gr;
-  Harness.Run.passed r && Harness.Run.passed lk && Harness.Run.passed gr
+  [
+    ("spanner-rss partition-heal", r);
+    ("spanner-rss leader-kill failover", lk);
+    ("gryff-rsc link-loss", gr);
+  ]
 
-let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let battery_ok = battery (seeds args) in
-  let harness_ok = harness_demo () in
-  if not (battery_ok && harness_ok) then exit 1
+let run ~smoke : Section.t =
+  let cells = battery (if smoke then [ 7 ] else [ 7; 23; 101 ]) in
+  let harness = harness_demo () in
+  let report =
+    Obs.Json.(
+      Obj
+        [
+          ("duration_s", Num duration_s);
+          ("battery", Arr (List.map fst cells));
+          ( "harness",
+            Arr
+              (List.map
+                 (fun (name, r) ->
+                   Obj
+                     [
+                       ("name", Str name);
+                       ("n_ops", int (Harness.Run.n_records r));
+                       ("verdict", Str (Section.verdict_name r.Harness.Run.check));
+                     ])
+                 harness) );
+        ])
+  in
+  ( report,
+    [
+      ("battery_pass", List.for_all snd cells);
+      ("harness_pass", List.for_all (fun (_, r) -> Harness.Run.passed r) harness);
+    ] )

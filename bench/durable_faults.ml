@@ -1,4 +1,4 @@
-(* Storage-fault battery: every protocol under every disk-fault preset.
+(* Storage-fault section: every protocol under every disk-fault preset.
 
    For each (protocol, preset, seed) the audit driver runs with a
    Sim.Durable.Faults control armed: nemesis crashes tear log tails,
@@ -18,15 +18,13 @@
                    misdirected writes, and the consistency checker (or the
                    shard rebuild's own invariants) must flag the result
 
-   Output is machine-readable JSON (default BENCH_durable.json):
+     dune exec bench/suite.exe -- durable            # full battery
+     dune exec bench/suite.exe -- --smoke durable    # CI size
 
-     dune exec bench/durable_faults.exe --             # full battery
-     dune exec bench/durable_faults.exe -- --smoke     # CI size
-
-   Exit status 1 unless: every faulted run passes the checker, resumes
-   liveness after heal, and ends with zero unrepaired quarantined members;
-   the repeated run is byte-identical; and the integrity-disabled control
-   is caught. *)
+   Gates: the battery ran protocols x presets x seeds runs, each did work,
+   passes the checker, resumes liveness after heal, and ends with zero
+   unrepaired quarantined members; some repair path fired; the repeated
+   run is byte-identical; and the integrity-disabled control is caught. *)
 
 let presets =
   [ Chaos.Nemesis.Disk_tear; Chaos.Nemesis.Bit_rot; Chaos.Nemesis.Torn_migration ]
@@ -157,56 +155,28 @@ let integrity_control ~base_seed ~max_tries =
   in
   scan 0
 
-(* ------------------------------------------------------------------ *)
-(* JSON emission (hand-rolled; the repo deliberately has no JSON dep)   *)
-(* ------------------------------------------------------------------ *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f = if Float.is_nan f then "null" else Printf.sprintf "%.6f" f
-
-let measured_json b m =
-  Printf.bprintf b
-    "{\"name\": \"%s\", \"verdict\": \"%s\", \"detail\": \"%s\", \
-     \"live\": %b, \"digest\": \"%s\", \"n_ops\": %d, \"cpu_s\": %s%s}"
-    m.name m.verdict (json_escape m.detail) m.live m.digest m.n_ops
-    (json_float m.cpu_s)
-    (String.concat ""
-       (List.map (fun (f, v) -> Printf.sprintf ", \"%s\": %d" f v) m.counts))
+let measured_json m =
+  Obs.Json.(
+    Obj
+      ([
+         ("name", Str m.name);
+         ("verdict", Str m.verdict);
+         ("detail", Str m.detail);
+         ("live", Bool m.live);
+         ("digest", Str m.digest);
+         ("n_ops", int m.n_ops);
+         ("cpu_s", Num m.cpu_s);
+       ]
+      @ List.map (fun (f, v) -> (f, int v)) m.counts))
 
 (* ------------------------------------------------------------------ *)
-(* Main                                                                *)
+(* Section                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let () =
-  let smoke = ref false in
-  let out = ref "BENCH_durable.json" in
-  let seed = ref 42 in
-  Arg.parse
-    [
-      ("--smoke", Arg.Set smoke, " CI sizes (seconds, not minutes)");
-      ( "--out",
-        Arg.Set_string out,
-        "FILE output path (default BENCH_durable.json)" );
-      ("--seed", Arg.Set_int seed, "N base seed (default 42)");
-    ]
-    (fun a -> raise (Arg.Bad ("unexpected argument: " ^ a)))
-    "durable_faults [--smoke] [--out FILE] [--seed N]";
-  let base_seed = !seed in
-  let duration_s = if !smoke then 6.0 else 10.0 in
-  let n_seeds = if !smoke then 1 else 3 in
+let run ~smoke : Section.t =
+  let base_seed = Section.seed in
+  let duration_s = if smoke then 6.0 else 10.0 in
+  let n_seeds = if smoke then 1 else 3 in
   let seeds = List.init n_seeds (fun i -> base_seed + i) in
   Printf.printf
     "== durable-fault battery (%d protocols x %d presets x %d seeds, %.0f \
@@ -214,7 +184,7 @@ let () =
      %!"
     (List.length Chaos.Audit.protocols)
     (List.length presets) n_seeds duration_s;
-  let report m =
+  let print_run m =
     Printf.printf
       "   %-36s verdict=%-5s live=%b  damage(torn=%d corrupt=%d stale=%d)  \
        repairs(torn=%d quar=%d peer=%d place=%d)  unrepaired=%d\n\
@@ -238,7 +208,7 @@ let () =
                     seed
                 in
                 let m = measure ~name ~protocol ~preset ~duration_s ~seed () in
-                report m;
+                print_run m;
                 m)
               seeds)
           presets)
@@ -274,36 +244,34 @@ let () =
         get m "repairs_torn" + get m "repairs_peer" + get m "place_repairs" > 0)
       runs
   in
-  let ok = all_pass && repaired && deterministic && control_caught in
-  Printf.printf
-    "all runs pass: %b   repairs exercised: %b   deterministic: %b   control \
-     caught: %b   ok: %b\n\
-     %!"
-    all_pass repaired deterministic control_caught ok;
-  let b = Buffer.create 8192 in
-  Printf.bprintf b
-    "{\n  \"schema\": \"rss-repro/durable/v1\",\n  \"smoke\": %b,\n  \
-     \"seed\": %d,\n  \"duration_s\": %s,\n  \"runs\": [\n"
-    !smoke base_seed (json_float duration_s);
-  let n = List.length runs in
-  List.iteri
-    (fun i m ->
-      Buffer.add_string b "    ";
-      measured_json b m;
-      Buffer.add_string b (if i < n - 1 then ",\n" else "\n"))
-    runs;
-  Printf.bprintf b
-    "  ],\n  \"all_pass\": %b,\n  \"repairs_exercised\": %b,\n  \
-     \"deterministic\": %b,\n  \"control_caught\": %b,\n  \
-     \"control_detail\": \"%s\",\n  \"ok\": %b\n}\n"
-    all_pass repaired deterministic control_caught
-    (json_escape
-       (match control with
-       | Some (name, detail) -> name ^ ": " ^ detail
-       | None -> "not caught"))
-    ok;
-  let oc = open_out !out in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" !out;
-  if not ok then exit 1
+  let gates =
+    [
+      ( "runs",
+        List.length runs
+        = List.length Chaos.Audit.protocols * List.length presets * n_seeds );
+      ("runs_did_work", List.for_all (fun m -> m.n_ops > 0) runs);
+      ("all_pass", all_pass);
+      ("repairs_exercised", repaired);
+      ("deterministic", deterministic);
+      ("control_caught", control_caught);
+    ]
+  in
+  let report =
+    Obs.Json.(
+      Obj
+        [
+          ("seed", int base_seed);
+          ("duration_s", Num duration_s);
+          ("runs", Arr (List.map measured_json runs));
+          ("all_pass", Bool all_pass);
+          ("repairs_exercised", Bool repaired);
+          ("deterministic", Bool deterministic);
+          ("control_caught", Bool control_caught);
+          ( "control_detail",
+            Str
+              (match control with
+              | Some (name, detail) -> name ^ ": " ^ detail
+              | None -> "not caught") );
+        ])
+  in
+  (report, gates)

@@ -1,6 +1,6 @@
-(* Schedule-exploration smoke battery.
+(* Schedule-exploration section.
 
-   Three sections, all seeded and machine-checkable:
+   Three experiments, all seeded and machine-checkable:
 
      determinism -- the perturbation layer's contract: installing the
                     all-zero vector is byte-identical to never installing
@@ -17,76 +17,37 @@
                     corpus file, and replay that file to the identical
                     verdict twice.
 
-   Output is machine-readable JSON (default BENCH_explore.json):
+     dune exec bench/suite.exe -- explore                        # full budget, ~2 min
+     dune exec bench/suite.exe -- --smoke explore                # CI budget
+     dune exec bench/suite.exe -- --smoke --corpus DIR explore   # keep shrunk repros
 
-     dune exec bench/explore.exe --                 # full budget, ~2 min
-     dune exec bench/explore.exe -- --smoke         # CI budget, ~30 s
-     dune exec bench/explore.exe -- --corpus DIR    # keep shrunk repros
+   Gates: all three determinism checks hold; the safe sweep ran, raised no
+   false alarm and saw more than one coverage signature; the control bug
+   is found, its shrunk repro still fails and is no costlier than the
+   find, its corpus file replays byte-identically twice, and the hunt's
+   metrics count the executions, the failure and the saved corpus file. *)
 
-   Exit status 1 unless: all three determinism checks hold, the control
-   bug is found, the shrunk repro is no costlier than the find and still
-   fails, and its corpus file replays byte-identically twice. *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let input_json b (i : Explore.Exec.input) =
+let input_json (i : Explore.Exec.input) =
   let tie, jitter = Explore.Perturb.to_string i.Explore.Exec.perturb in
-  Printf.bprintf b
-    "{\"protocol\":\"%s\",\"preset\":\"%s\",\"seed\":%d,\"nemesis_seed\":%d,\
-     \"duration_ms\":%d,\"slots\":%d,\"keys\":%d,\"batch_us\":%d,\
-     \"disk_rate_pct\":%d,\"unsafe\":%b,\"tie\":\"%s\",\"jitter\":\"%s\",\
-     \"cost\":%d}"
-    (Chaos.Audit.protocol_name i.Explore.Exec.protocol)
-    (Chaos.Nemesis.preset_name i.Explore.Exec.preset)
-    i.Explore.Exec.seed i.Explore.Exec.nemesis_seed i.Explore.Exec.duration_ms
-    i.Explore.Exec.n_slots i.Explore.Exec.n_keys i.Explore.Exec.batch_us
-    i.Explore.Exec.disk_rate_pct i.Explore.Exec.unsafe (json_escape tie)
-    (json_escape jitter)
-    (Explore.Search.cost i)
+  Obs.Json.(
+    Obj
+      [
+        ("protocol", Str (Chaos.Audit.protocol_name i.Explore.Exec.protocol));
+        ("preset", Str (Chaos.Nemesis.preset_name i.Explore.Exec.preset));
+        ("seed", int i.Explore.Exec.seed);
+        ("nemesis_seed", int i.Explore.Exec.nemesis_seed);
+        ("duration_ms", int i.Explore.Exec.duration_ms);
+        ("slots", int i.Explore.Exec.n_slots);
+        ("keys", int i.Explore.Exec.n_keys);
+        ("batch_us", int i.Explore.Exec.batch_us);
+        ("disk_rate_pct", int i.Explore.Exec.disk_rate_pct);
+        ("unsafe", Bool i.Explore.Exec.unsafe);
+        ("tie", Str tie);
+        ("jitter", Str jitter);
+        ("cost", int (Explore.Search.cost i));
+      ])
 
-let () =
-  let smoke = ref false in
-  let out = ref "BENCH_explore.json" in
-  let corpus_dir = ref "" in
-  let budget = ref 0 in
-  let argv = Array.to_list Sys.argv in
-  let rec parse = function
-    | [] -> ()
-    | "--smoke" :: rest ->
-      smoke := true;
-      parse rest
-    | "--out" :: v :: rest ->
-      out := v;
-      parse rest
-    | "--corpus" :: v :: rest ->
-      corpus_dir := v;
-      parse rest
-    | "--budget" :: v :: rest ->
-      budget := int_of_string v;
-      parse rest
-    | a :: rest ->
-      if String.length a > 0 && a.[0] = '-' then begin
-        Printf.eprintf "unknown flag %s\n" a;
-        exit 2
-      end;
-      parse rest
-  in
-  parse (List.tl argv);
-  let corpus_dir =
-    if String.length !corpus_dir > 0 then Some !corpus_dir else None
-  in
+let run ~smoke ~corpus_dir : Section.t =
   let t0 = Sys.time () in
 
   (* --- determinism ------------------------------------------------- *)
@@ -126,7 +87,7 @@ let () =
     off_identical perturb_changes perturb_replay;
 
   (* --- safe sweep --------------------------------------------------- *)
-  let safe_budget = if !budget > 0 then !budget else if !smoke then 150 else 400 in
+  let safe_budget = if smoke then 150 else 400 in
   Printf.printf "safe sweep: budget %d\n%!" safe_budget;
   let safe_cfg =
     { (Explore.Search.default_config ()) with
@@ -146,9 +107,7 @@ let () =
     safe.Explore.Search.unknowns;
 
   (* --- seeded-bug control ------------------------------------------- *)
-  let control_budget =
-    if !budget > 0 then !budget else if !smoke then 1_500 else 3_000
-  in
+  let control_budget = if smoke then 1_500 else 3_000 in
   Printf.printf "control hunt: unsafe_no_deps, budget %d\n%!" control_budget;
   let metrics = Obs.Metrics.create () in
   (* The hunt base is the shape empirically densest in no-deps anomalies:
@@ -183,9 +142,9 @@ let () =
   in
   let control = Explore.Search.run control_cfg in
   let found = control.Explore.Search.failures <> [] in
-  let shrink_ok, replay_ok, corpus_file, failure_json =
+  let shrink_ok, replay_ok, corpus_file, no_costlier, failure_json =
     match control.Explore.Search.failures with
-    | [] -> (false, false, "", "null")
+    | [] -> (false, false, "", false, Obs.Json.Null)
     | f :: _ ->
       let shrunk_fails =
         String.length f.Explore.Search.shrunk_verdict >= 4
@@ -211,19 +170,20 @@ let () =
               path )
           | _ -> (false, path))
       in
-      let b = Buffer.create 512 in
-      Printf.bprintf b
-        "{\"found_at\":%d,\"verdict\":\"%s\",\"shrink_execs\":%d,\
-         \"shrunk_verdict\":\"%s\",\"input\":"
-        f.Explore.Search.found_at
-        (json_escape f.Explore.Search.verdict)
-        f.Explore.Search.shrink_execs
-        (json_escape f.Explore.Search.shrunk_verdict);
-      input_json b f.Explore.Search.input;
-      Printf.bprintf b ",\"shrunk\":";
-      input_json b f.Explore.Search.shrunk;
-      Printf.bprintf b "}";
-      (shrunk_fails && no_costlier, replay_ok, path, Buffer.contents b)
+      ( shrunk_fails && no_costlier,
+        replay_ok,
+        path,
+        no_costlier,
+        Obs.Json.(
+          Obj
+            [
+              ("found_at", int f.Explore.Search.found_at);
+              ("verdict", Str f.Explore.Search.verdict);
+              ("shrink_execs", int f.Explore.Search.shrink_execs);
+              ("shrunk_verdict", Str f.Explore.Search.shrunk_verdict);
+              ("input", input_json f.Explore.Search.input);
+              ("shrunk", input_json f.Explore.Search.shrunk);
+            ]) )
   in
   Printf.printf "  found %b (execs %d), shrink_ok %b, replay_ok %b\n%!" found
     control.Explore.Search.execs shrink_ok replay_ok;
@@ -234,37 +194,63 @@ let () =
       (Explore.Exec.describe f.Explore.Search.shrunk)
   | [] -> ());
 
-  let determinism_ok = off_identical && perturb_changes && perturb_replay in
-  let ok = determinism_ok && found && shrink_ok && replay_ok in
   let snap = Obs.Metrics.snapshot metrics in
   let mc name = Obs.Metrics.counter_value snap name in
-  let b = Buffer.create 4096 in
-  Printf.bprintf b "{\n  \"schema\": \"rss-repro/explore/v1\",\n";
-  Printf.bprintf b "  \"smoke\": %b,\n" !smoke;
-  Printf.bprintf b
-    "  \"determinism\": {\"perturb_off_identical\": %b, \
-     \"perturb_changes_schedule\": %b, \"perturb_replay_identical\": %b},\n"
-    off_identical perturb_changes perturb_replay;
-  Printf.bprintf b
-    "  \"safe\": {\"execs\": %d, \"signatures\": %d, \"novel\": %d, \
-     \"fails\": %d, \"unknowns\": %d},\n"
-    safe.Explore.Search.execs safe.Explore.Search.signatures
-    safe.Explore.Search.novel
-    (List.length safe.Explore.Search.failures)
-    safe.Explore.Search.unknowns;
-  Printf.bprintf b
-    "  \"control\": {\"execs\": %d, \"signatures\": %d, \"found\": %b, \
-     \"shrink_ok\": %b, \"replay_deterministic\": %b, \"corpus_file\": \
-     \"%s\", \"metrics\": {\"execs\": %d, \"novel\": %d, \"fails\": %d, \
-     \"shrink_execs\": %d, \"corpus_saved\": %d}, \"failure\": %s},\n"
-    control.Explore.Search.execs control.Explore.Search.signatures found
-    shrink_ok replay_ok (json_escape corpus_file) (mc "explore.execs")
-    (mc "explore.novel") (mc "explore.fails") (mc "explore.shrink_execs")
-    (mc "explore.corpus_saved") failure_json;
-  Printf.bprintf b "  \"cpu_s\": %.3f,\n" (Sys.time () -. t0);
-  Printf.bprintf b "  \"ok\": %b\n}\n" ok;
-  let oc = open_out !out in
-  Buffer.output_buffer oc b;
-  close_out oc;
-  Printf.printf "wrote %s (ok=%b, %.1fs cpu)\n%!" !out ok (Sys.time () -. t0);
-  exit (if ok then 0 else 1)
+  let safe_fails = List.length safe.Explore.Search.failures in
+  let gates =
+    [
+      ("perturb_off_identical", off_identical);
+      ("perturb_changes_schedule", perturb_changes);
+      ("perturb_replay_identical", perturb_replay);
+      ("safe_no_false_alarm", safe.Explore.Search.execs > 0 && safe_fails = 0);
+      ("safe_signatures", safe.Explore.Search.signatures > 1);
+      ("control_found", found);
+      ("shrink_ok", shrink_ok);
+      ("shrunk_no_costlier", no_costlier);
+      ("replay_deterministic", replay_ok);
+      ( "control_metrics",
+        mc "explore.execs" > 0 && mc "explore.fails" >= 1
+        && mc "explore.corpus_saved" >= 1 );
+    ]
+  in
+  let report =
+    Obs.Json.(
+      Obj
+        [
+          ( "determinism",
+            Obj
+              [
+                ("perturb_off_identical", Bool off_identical);
+                ("perturb_changes_schedule", Bool perturb_changes);
+                ("perturb_replay_identical", Bool perturb_replay);
+              ] );
+          ( "safe",
+            Obj
+              [
+                ("execs", int safe.Explore.Search.execs);
+                ("signatures", int safe.Explore.Search.signatures);
+                ("novel", int safe.Explore.Search.novel);
+                ("fails", int safe_fails);
+                ("unknowns", int safe.Explore.Search.unknowns);
+              ] );
+          ( "control",
+            Obj
+              [
+                ("execs", int control.Explore.Search.execs);
+                ("signatures", int control.Explore.Search.signatures);
+                ("found", Bool found);
+                ("shrink_ok", Bool shrink_ok);
+                ("replay_deterministic", Bool replay_ok);
+                ("corpus_file", Str corpus_file);
+                ( "metrics",
+                  Obj
+                    (List.map
+                       (fun k -> (k, int (mc ("explore." ^ k))))
+                       [ "execs"; "novel"; "fails"; "shrink_execs"; "corpus_saved" ])
+                );
+                ("failure", failure_json);
+              ] );
+          ("cpu_s", Num (Sys.time () -. t0));
+        ])
+  in
+  (report, gates)

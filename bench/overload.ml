@@ -1,6 +1,6 @@
-(* Overload & gray-failure robustness suite.
+(* Overload & gray-failure robustness section.
 
-   Two experiments, both machine-readable (default BENCH_overload.json):
+   Two experiments:
 
    1. Offered-load ramp (spanner, open system). Partly-open Retwis
       sessions arrive at a ramp of rates against a 4-shard deployment with
@@ -19,25 +19,17 @@
       and must cut read p99 by at least 3x.
 
    Protected/hedged runs verify their histories online; a consistency
-   failure fails the suite. A protected run is repeated to prove the
+   failure fails the section. A protected run is repeated to prove the
    whole stack is deterministic.
 
-     dune exec bench/overload.exe --              # full sizes, ~1 min
-     dune exec bench/overload.exe -- --smoke      # CI sizes
+     dune exec bench/suite.exe -- overload            # full sizes, ~1 min
+     dune exec bench/suite.exe -- --smoke overload    # CI sizes
 
-   Exit status 1 on: any online-checked verification failure, control
-   collapse not observed, protected goodput floor missed, hedge ratio
-   missed (full runs only), sheds observed with protections off, or a
-   repeat-determinism mismatch. *)
-
-let verdict_name = function
-  | Harness.Run.Pass -> "pass"
-  | Harness.Run.Fail _ -> "fail"
-  | Harness.Run.Unknown _ -> "unknown"
-
-let verdict_detail = function
-  | Harness.Run.Pass -> ""
-  | Harness.Run.Fail m | Harness.Run.Unknown m -> m
+   Gates, at every size: every ramp point did work, control collapse
+   observed, protected goodput floor held, no sheds with protections off,
+   the protected run shed or expired work at the top rate, every
+   online-checked run passed, hedge ratio >= 3x with hedges firing and
+   winning, and repeat determinism. *)
 
 (* ------------------------------------------------------------------ *)
 (* Measurement                                                         *)
@@ -92,8 +84,8 @@ let measure ~deadline_us ~measured_s (r : Harness.Run.t) =
     budget_denied = Harness.Run.counter r "flow.budget.denied";
     hedges = Harness.Run.counter r "flow.hedges";
     hedge_wins = Harness.Run.counter r "flow.hedge_wins";
-    verdict = verdict_name r.Harness.Run.check;
-    detail = verdict_detail r.Harness.Run.check;
+    verdict = Section.verdict_name r.Harness.Run.check;
+    detail = Section.verdict_detail r.Harness.Run.check;
   }
 
 (* A canonical digest of a run's observable outcome: every completion
@@ -210,64 +202,35 @@ let hedge_run ~fanout ~duration_s ~seed =
   Harness.gryff_wan ~client_sites ~env ~mode:Gryff.Config.Rsc ~conflict:0.05
     ~write_ratio:0.2 ~n_keys:50_000 ~duration_s ~seed ()
 
-(* ------------------------------------------------------------------ *)
-(* JSON emission (hand-rolled; the repo deliberately has no JSON dep)   *)
-(* ------------------------------------------------------------------ *)
+let measured_json m =
+  Obs.Json.(
+    Obj
+      [
+        ("completed", int m.completed);
+        ("good", int m.good);
+        ("goodput_tps", Num m.goodput_tps);
+        ("p50_ms", opt (fun f -> Num f) m.p50_ms);
+        ("p99_ms", opt (fun f -> Num f) m.p99_ms);
+        ("shed", int m.shed);
+        ("expired", int m.expired);
+        ("abandoned", int m.abandoned);
+        ("budget_denied", int m.budget_denied);
+        ("hedges", int m.hedges);
+        ("hedge_wins", int m.hedge_wins);
+        ("verdict", Str m.verdict);
+        ("detail", Str m.detail);
+      ])
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f = if Float.is_nan f then "null" else Printf.sprintf "%.6f" f
-
-let json_float_opt = function None -> "null" | Some f -> json_float f
-
-let measured_json b m =
-  Printf.bprintf b
-    "{\"completed\": %d, \"good\": %d, \"goodput_tps\": %s, \"p50_ms\": %s, \
-     \"p99_ms\": %s, \"shed\": %d, \"expired\": %d, \"abandoned\": %d, \
-     \"budget_denied\": %d, \"hedges\": %d, \"hedge_wins\": %d, \
-     \"verdict\": \"%s\", \"detail\": \"%s\"}"
-    m.completed m.good (json_float m.goodput_tps) (json_float_opt m.p50_ms)
-    (json_float_opt m.p99_ms) m.shed m.expired m.abandoned m.budget_denied
-    m.hedges m.hedge_wins m.verdict (json_escape m.detail)
+let ms_string = function Some p -> Printf.sprintf "%.1f" p | None -> "n/a"
 
 (* ------------------------------------------------------------------ *)
-(* Main                                                                *)
+(* Section                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let () =
-  let smoke = ref false in
-  let out = ref "BENCH_overload.json" in
-  let seed = ref 42 in
-  Arg.parse
-    [
-      ("--smoke", Arg.Set smoke, " CI sizes (seconds, not minutes)");
-      ("--out", Arg.Set_string out, "FILE output path (default BENCH_overload.json)");
-      ("--seed", Arg.Set_int seed, "N workload seed (default 42)");
-    ]
-    (fun a -> raise (Arg.Bad ("unexpected argument: " ^ a)))
-    "overload [--smoke] [--out FILE] [--seed N]";
-  let failed = ref false in
-  let fail fmt = Printf.ksprintf (fun m -> Printf.printf "   %s\n%!" m; failed := true) fmt in
-  let b = Buffer.create 8192 in
-  Printf.bprintf b
-    "{\n  \"schema\": \"rss-repro/overload/v1\",\n  \"smoke\": %b,\n  \
-     \"seed\": %d,\n"
-    !smoke !seed;
-
+let run ~smoke : Section.t =
+  let seed = Section.seed in
   (* --- Experiment 1: offered-load ramp --- *)
-  let duration_s = if !smoke then 2.0 else 5.0 in
+  let duration_s = if smoke then 2.0 else 5.0 in
   let measured_s = duration_s *. 0.9 in
   (* Rates in sessions/s; a session issues ~10 Retwis transactions. The
      knee of this deployment sits at the third point; the last point is
@@ -280,19 +243,16 @@ let () =
       (fun rate ->
         let control =
           measure ~deadline_us:ramp_deadline_us ~measured_s
-            (ramp_run ~protected:false ~rate ~duration_s ~seed:!seed)
+            (ramp_run ~protected:false ~rate ~duration_s ~seed)
         in
         let protected_ =
           measure ~deadline_us:ramp_deadline_us ~measured_s
-            (ramp_run ~protected:true ~rate ~duration_s ~seed:!seed)
+            (ramp_run ~protected:true ~rate ~duration_s ~seed)
         in
         Printf.printf
           "   rate %6.0f/s  control %8.0f good tps (p99 %s ms)   protected \
            %8.0f good tps  shed %d expired %d verdict=%s\n%!"
-          rate control.goodput_tps
-          (match control.p99_ms with
-          | Some p -> Printf.sprintf "%.1f" p
-          | None -> "n/a")
+          rate control.goodput_tps (ms_string control.p99_ms)
           protected_.goodput_tps protected_.shed protected_.expired
           protected_.verdict;
         (rate, control, protected_))
@@ -318,50 +278,15 @@ let () =
      rate %.0f%%\n%!"
     peak (control_min_frac *. 100.0)
     (protected_top_frac *. 100.0);
-  if not control_collapse then
-    fail "NO COLLAPSE: control kept %.0f%% of peak goodput at top rate"
-      (control_min_frac *. 100.0);
-  if protected_top_frac < 0.70 then
-    fail "GOODPUT FLOOR MISSED: protected %.0f%% of peak at top rate < 70%%"
-      (protected_top_frac *. 100.0);
-  if control_sheds <> 0 then
-    fail "UNARMED SHEDS: %d sheds/expiries with protections off" control_sheds;
-  if not protected_verdicts_pass then
-    fail "CONSISTENCY FAILURE in a protected ramp run";
-  Printf.bprintf b
-    "  \"ramp\": {\n    \"deadline_us\": %d,\n    \"rates\": [%s],\n    \
-     \"points\": [\n"
-    ramp_deadline_us
-    (String.concat ", " (List.map (fun r -> json_float r) rates));
-  List.iteri
-    (fun i (rate, c, p) ->
-      Printf.bprintf b "      {\"rate\": %s, \"control\": " (json_float rate);
-      measured_json b c;
-      Buffer.add_string b ", \"protected\": ";
-      measured_json b p;
-      Printf.bprintf b "}%s\n" (if i < List.length points - 1 then "," else ""))
-    points;
-  Printf.bprintf b
-    "    ],\n    \"peak_goodput_tps\": %s,\n    \"control_min_frac\": %s,\n    \
-     \"control_collapse\": %b,\n    \"protected_top_frac\": %s,\n    \
-     \"protected_ok\": %b,\n    \"control_sheds\": %d,\n    \
-     \"protected_verdicts_pass\": %b\n  },\n"
-    (json_float peak) (json_float control_min_frac) control_collapse
-    (json_float protected_top_frac)
-    (protected_top_frac >= 0.70)
-    control_sheds protected_verdicts_pass;
 
   (* --- Experiment 2: hedged reads under a slow node --- *)
-  let hduration_s = if !smoke then 8.0 else 20.0 in
+  let hduration_s = if smoke then 8.0 else 20.0 in
   Printf.printf "== hedged reads under slow-node (gryff, %g simulated s) ==\n%!"
     hduration_s;
   let unhedged =
-    hedge_run ~fanout:Gryff.Protocol.Fan_quorum ~duration_s:hduration_s
-      ~seed:!seed
+    hedge_run ~fanout:Gryff.Protocol.Fan_quorum ~duration_s:hduration_s ~seed
   in
-  let hedged =
-    hedge_run ~fanout:Gryff.Protocol.Hedged ~duration_s:hduration_s ~seed:!seed
-  in
+  let hedged = hedge_run ~fanout:Gryff.Protocol.Hedged ~duration_s:hduration_s ~seed in
   let read_p99 r = Stats.Recorder.percentile_ms_opt (Harness.Run.latency r "read") 99.0 in
   let un_p99 = read_p99 unhedged and h_p99 = read_p99 hedged in
   let ratio =
@@ -374,47 +299,85 @@ let () =
   let hedge_verdicts_pass =
     Harness.Run.passed unhedged && Harness.Run.passed hedged
   in
+  let hedge_ok = ratio >= 3.0 in
   Printf.printf
     "   read p99: bare quorum %s ms, hedged %s ms (%.1fx); %d hedges, %d \
      wins; verdicts %s/%s\n%!"
-    (match un_p99 with Some p -> Printf.sprintf "%.1f" p | None -> "n/a")
-    (match h_p99 with Some p -> Printf.sprintf "%.1f" p | None -> "n/a")
-    ratio hedges hedge_wins
-    (verdict_name unhedged.Harness.Run.check)
-    (verdict_name hedged.Harness.Run.check);
-  if Float.is_nan ratio || ratio < 3.0 then
-    fail "HEDGE RATIO MISSED: bare-quorum p99 only %.1fx the hedged p99" ratio;
-  if hedges = 0 || hedge_wins = 0 then
-    fail "HEDGING INERT: %d hedges, %d wins" hedges hedge_wins;
-  if not hedge_verdicts_pass then
-    fail "CONSISTENCY FAILURE in a slow-node hedging run";
-  Printf.bprintf b
-    "  \"hedge\": {\n    \"preset\": \"slow-node\",\n    \"hedge_us\": %d,\n    \
-     \"unhedged_p99_ms\": %s,\n    \"hedged_p99_ms\": %s,\n    \"ratio\": \
-     %s,\n    \"hedges\": %d,\n    \"hedge_wins\": %d,\n    \
-     \"verdicts_pass\": %b,\n    \"ok\": %b\n  },\n"
-    hedge_us (json_float_opt un_p99) (json_float_opt h_p99) (json_float ratio)
-    hedges hedge_wins hedge_verdicts_pass
-    ((not (Float.is_nan ratio)) && ratio >= 3.0);
+    (ms_string un_p99) (ms_string h_p99) ratio hedges hedge_wins
+    (Section.verdict_name unhedged.Harness.Run.check)
+    (Section.verdict_name hedged.Harness.Run.check);
 
   (* --- Repeat determinism --- *)
   let det_rate = List.nth rates (List.length rates - 1) in
   let digest_of () =
-    run_digest (ramp_run ~protected:true ~rate:det_rate ~duration_s ~seed:!seed)
+    run_digest (ramp_run ~protected:true ~rate:det_rate ~duration_s ~seed)
   in
   let d1 = digest_of () in
   let d2 = digest_of () in
   Printf.printf "== repeat determinism ==\n   %s %s %s\n%!" d1
     (if d1 = d2 then "==" else "!=")
     d2;
-  if d1 <> d2 then fail "NON-DETERMINISM: protected run digests differ";
-  Printf.bprintf b
-    "  \"determinism\": {\"digest_a\": \"%s\", \"digest_b\": \"%s\", \"ok\": \
-     %b},\n  \"failed\": %b\n}\n"
-    d1 d2 (d1 = d2) !failed;
-
-  let oc = open_out !out in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" !out;
-  if !failed then exit 1
+  let gates =
+    [
+      ("ramp_points", List.length points = 4);
+      ( "ramp_did_work",
+        List.for_all (fun (_, c, p) -> c.completed > 0 && p.completed > 0) points );
+      ("control_collapse", control_collapse);
+      ("protected_goodput_floor", protected_top_frac >= 0.70);
+      ("control_unarmed", control_sheds = 0);
+      ("protected_sheds_at_top", top_protected.shed + top_protected.expired > 0);
+      ("protected_verdicts_pass", protected_verdicts_pass);
+      ("hedge_ratio", hedge_ok);
+      ("hedges_fire", hedges > 0 && hedge_wins > 0);
+      ("hedge_verdicts_pass", hedge_verdicts_pass);
+      ("deterministic", d1 = d2);
+    ]
+  in
+  let report =
+    Obs.Json.(
+      Obj
+        [
+          ("seed", int seed);
+          ( "ramp",
+            Obj
+              [
+                ("deadline_us", int ramp_deadline_us);
+                ("rates", Arr (List.map (fun r -> Num r) rates));
+                ( "points",
+                  Arr
+                    (List.map
+                       (fun (rate, c, p) ->
+                         Obj
+                           [
+                             ("rate", Num rate);
+                             ("control", measured_json c);
+                             ("protected", measured_json p);
+                           ])
+                       points) );
+                ("peak_goodput_tps", Num peak);
+                ("control_min_frac", Num control_min_frac);
+                ("control_collapse", Bool control_collapse);
+                ("protected_top_frac", Num protected_top_frac);
+                ("protected_ok", Bool (protected_top_frac >= 0.70));
+                ("control_sheds", int control_sheds);
+                ("protected_verdicts_pass", Bool protected_verdicts_pass);
+              ] );
+          ( "hedge",
+            Obj
+              [
+                ("preset", Str "slow-node");
+                ("hedge_us", int hedge_us);
+                ("unhedged_p99_ms", opt (fun f -> Num f) un_p99);
+                ("hedged_p99_ms", opt (fun f -> Num f) h_p99);
+                ("ratio", Num ratio);
+                ("hedges", int hedges);
+                ("hedge_wins", int hedge_wins);
+                ("verdicts_pass", Bool hedge_verdicts_pass);
+                ("ok", Bool hedge_ok);
+              ] );
+          ( "determinism",
+            Obj [ ("digest_a", Str d1); ("digest_b", Str d2); ("ok", Bool (d1 = d2)) ]
+          );
+        ])
+  in
+  (report, gates)

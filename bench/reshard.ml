@@ -1,4 +1,4 @@
-(* Live-reshard benchmark: migrate the Zipfian-hot eighth of the keyspace
+(* Live-reshard section: migrate the Zipfian-hot eighth of the keyspace
    to another shard mid-workload and measure what elasticity costs.
 
    Four seeded runs over the §6.1 WAN deployment (Spanner-RSS, theta 0.9 so
@@ -15,23 +15,13 @@
                    destination, and the online checker must flag the
                    resulting stale read.
 
-   Output is machine-readable JSON (default BENCH_reshard.json):
+     dune exec bench/suite.exe -- reshard           # full size, ~1 min
+     dune exec bench/suite.exe -- --smoke reshard   # CI size, a few seconds
 
-     dune exec bench/reshard.exe --             # full size, ~1 min
-     dune exec bench/reshard.exe -- --smoke     # CI size, a few seconds
-
-   Exit status 1 unless: baseline and reshard pass the checker, the
-   migration completes (>= 1 completed, 0 failed, keys actually moved),
-   the repeated run is byte-identical, and the no-fence control fails. *)
-
-let verdict_name = function
-  | Harness.Run.Pass -> "pass"
-  | Harness.Run.Fail _ -> "fail"
-  | Harness.Run.Unknown _ -> "unknown"
-
-let verdict_detail = function
-  | Harness.Run.Pass -> ""
-  | Harness.Run.Fail m | Harness.Run.Unknown m -> m
+   Gates: every run did work, baseline and reshard pass the checker, the
+   migration completes (>= 1 completed, 0 failed, keys actually moved, the
+   epoch bumped) and bounced stale clients, the repeated run is
+   byte-identical, and the no-fence control fails. *)
 
 type measured = {
   name : string;
@@ -41,21 +31,17 @@ type measured = {
   n_ops : int;
   sim_s : float;
   cpu_s : float;
-  ro_p50_us : float;
-  ro_p99_us : float;
-  rw_p50_us : float;
-  rw_p99_us : float;
-  epoch : int;
-  migrations : int;
-  migrations_failed : int;
-  migration_retries : int;
-  keys_moved : int;
-  redirects : int;
-  fence_blocked : int;
-  fence_hold_us : int;
-  max_fence_hold_us : int;
-  directory_appends : int;
+  latencies : (string * float) list;  (* ro/rw p50/p99, in us *)
+  place : (string * int) list;  (* [place_fields], in order *)
 }
+
+(* Report fields, each the run's counter "place.<field>". *)
+let place_fields =
+  [ "epoch"; "migrations"; "migrations_failed"; "migration_retries";
+    "keys_moved"; "redirects"; "fence_blocked"; "fence_hold_us";
+    "max_fence_hold_us"; "directory_appends" ]
+
+let get m field = List.assoc field m.place
 
 let history_digest (r : Harness.Run.t) =
   match r.Harness.Run.records with
@@ -80,92 +66,47 @@ let measure ~name ~reshard ~theta ~n_keys ~rate ~duration_s ~seed =
       ~duration_s ~seed
   in
   let cpu_s = Sys.time () -. t0 in
-  let c = Harness.Run.counter r in
-  let ro = Harness.Run.latency r "ro" and rw = Harness.Run.latency r "rw" in
-  ( r,
-    {
-      name;
-      verdict = verdict_name r.Harness.Run.check;
-      detail = verdict_detail r.Harness.Run.check;
-      digest = history_digest r;
-      n_ops = Harness.Run.n_records r;
-      sim_s = Sim.Engine.to_sec r.Harness.Run.duration_us;
-      cpu_s;
-      ro_p50_us = pct ro 50.0;
-      ro_p99_us = pct ro 99.0;
-      rw_p50_us = pct rw 50.0;
-      rw_p99_us = pct rw 99.0;
-      epoch = c "place.epoch";
-      migrations = c "place.migrations";
-      migrations_failed = c "place.migrations_failed";
-      migration_retries = c "place.migration_retries";
-      keys_moved = c "place.keys_moved";
-      redirects = c "place.redirects";
-      fence_blocked = c "place.fence_blocked";
-      fence_hold_us = c "place.fence_hold_us";
-      max_fence_hold_us = c "place.max_fence_hold_us";
-      directory_appends = c "place.directory_appends";
-    } )
+  {
+    name;
+    verdict = Section.verdict_name r.Harness.Run.check;
+    detail = Section.verdict_detail r.Harness.Run.check;
+    digest = history_digest r;
+    n_ops = Harness.Run.n_records r;
+    sim_s = Sim.Engine.to_sec r.Harness.Run.duration_us;
+    cpu_s;
+    latencies =
+      List.concat_map
+        (fun kind ->
+          let rec_ = Harness.Run.latency r kind in
+          [ (kind ^ "_p50_us", pct rec_ 50.0); (kind ^ "_p99_us", pct rec_ 99.0) ])
+        [ "ro"; "rw" ];
+    place = List.map (fun f -> (f, Harness.Run.counter r ("place." ^ f))) place_fields;
+  }
+
+let measured_json m =
+  Obs.Json.(
+    Obj
+      ([
+         ("name", Str m.name);
+         ("verdict", Str m.verdict);
+         ("detail", Str m.detail);
+         ("digest", Str m.digest);
+         ("n_ops", int m.n_ops);
+         ("sim_s", Num m.sim_s);
+         ("cpu_s", Num m.cpu_s);
+       ]
+      @ List.map (fun (k, v) -> (k, Num v)) m.latencies
+      @ List.map (fun (k, v) -> (k, int v)) m.place))
 
 (* ------------------------------------------------------------------ *)
-(* JSON emission (hand-rolled; the repo deliberately has no JSON dep)   *)
+(* Section                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f = if Float.is_nan f then "null" else Printf.sprintf "%.6f" f
-
-let measured_json b m =
-  Printf.bprintf b
-    "{\"name\": \"%s\", \"verdict\": \"%s\", \"detail\": \"%s\", \
-     \"digest\": \"%s\", \"n_ops\": %d, \"sim_s\": %s, \"cpu_s\": %s, \
-     \"ro_p50_us\": %s, \"ro_p99_us\": %s, \"rw_p50_us\": %s, \
-     \"rw_p99_us\": %s, \"epoch\": %d, \"migrations\": %d, \
-     \"migrations_failed\": %d, \"migration_retries\": %d, \
-     \"keys_moved\": %d, \"redirects\": %d, \"fence_blocked\": %d, \
-     \"fence_hold_us\": %d, \"max_fence_hold_us\": %d, \
-     \"directory_appends\": %d}"
-    m.name m.verdict (json_escape m.detail) m.digest m.n_ops
-    (json_float m.sim_s) (json_float m.cpu_s) (json_float m.ro_p50_us)
-    (json_float m.ro_p99_us) (json_float m.rw_p50_us) (json_float m.rw_p99_us)
-    m.epoch m.migrations m.migrations_failed m.migration_retries m.keys_moved
-    m.redirects m.fence_blocked m.fence_hold_us m.max_fence_hold_us
-    m.directory_appends
-
-(* ------------------------------------------------------------------ *)
-(* Main                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let () =
-  let smoke = ref false in
-  let out = ref "BENCH_reshard.json" in
-  let seed = ref 42 in
-  Arg.parse
-    [
-      ("--smoke", Arg.Set smoke, " CI sizes (seconds, not a minute)");
-      ( "--out",
-        Arg.Set_string out,
-        "FILE output path (default BENCH_reshard.json)" );
-      ("--seed", Arg.Set_int seed, "N workload seed (default 42)");
-    ]
-    (fun a -> raise (Arg.Bad ("unexpected argument: " ^ a)))
-    "reshard [--smoke] [--out FILE] [--seed N]";
-  let seed = !seed in
-  let n_keys = if !smoke then 4_000 else 20_000 in
-  let duration_s = if !smoke then 6.0 else 20.0 in
-  let rate = if !smoke then 60.0 else 120.0 in
+let run ~smoke : Section.t =
+  let seed = Section.seed in
+  let n_keys = if smoke then 4_000 else 20_000 in
+  let duration_s = if smoke then 6.0 else 20.0 in
+  let rate = if smoke then 60.0 else 120.0 in
   let theta = 0.9 in
   let hot_hi = n_keys / 8 in
   let spec no_fence =
@@ -179,70 +120,53 @@ let () =
       };
     ]
   in
-  let report m =
+  Printf.printf "== reshard bench (hot range [0,%d) of %d keys, %.0f sim-s) ==\n%!"
+    hot_hi n_keys duration_s;
+  let run name reshard =
+    let m = measure ~name ~reshard ~theta ~n_keys ~rate ~duration_s ~seed in
     Printf.printf
       "   %-10s verdict=%-7s ops=%6d  migrations=%d/%d  keys=%5d  \
        redirects=%4d  fence=%d us (max %d)\n\
        %!"
-      m.name m.verdict m.n_ops m.migrations
-      (m.migrations + m.migrations_failed)
-      m.keys_moved m.redirects m.fence_hold_us m.max_fence_hold_us
+      m.name m.verdict m.n_ops (get m "migrations")
+      (get m "migrations" + get m "migrations_failed")
+      (get m "keys_moved") (get m "redirects") (get m "fence_hold_us")
+      (get m "max_fence_hold_us");
+    m
   in
-  Printf.printf "== reshard bench (hot range [0,%d) of %d keys, %.0f sim-s) ==\n%!"
-    hot_hi n_keys duration_s;
-  let _, base =
-    measure ~name:"baseline" ~reshard:[] ~theta ~n_keys ~rate ~duration_s ~seed
-  in
-  report base;
-  let _, live =
-    measure ~name:"reshard" ~reshard:(spec false) ~theta ~n_keys ~rate
-      ~duration_s ~seed
-  in
-  report live;
-  let _, live2 =
-    measure ~name:"reshard-2" ~reshard:(spec false) ~theta ~n_keys ~rate
-      ~duration_s ~seed
-  in
-  report live2;
-  let _, nofence =
-    measure ~name:"no-fence" ~reshard:(spec true) ~theta ~n_keys ~rate
-      ~duration_s ~seed
-  in
-  report nofence;
+  let base = run "baseline" [] in
+  let live = run "reshard" (spec false) in
+  let live2 = run "reshard-2" (spec false) in
+  let nofence = run "no-fence" (spec true) in
+  let runs = [ base; live; live2; nofence ] in
   let deterministic = live.digest = live2.digest in
-  let migrated_ok =
-    live.migrations >= 1 && live.migrations_failed = 0 && live.keys_moved >= 1
-    && live.epoch >= 1
+  let no_fence_caught = nofence.verdict = "fail" in
+  let gates =
+    [
+      ("runs", List.length runs = 4);
+      ("runs_did_work", List.for_all (fun m -> m.n_ops > 0) runs);
+      ("baseline_pass", base.verdict = "pass");
+      ("reshard_pass", live.verdict = "pass");
+      ( "migration_completes",
+        get live "migrations" >= 1
+        && get live "migrations_failed" = 0
+        && get live "keys_moved" > 0
+        && get live "epoch" >= 1 );
+      ("redirects", get live "redirects" > 0);
+      ("deterministic", deterministic);
+      ("no_fence_caught", no_fence_caught);
+    ]
   in
-  let ok =
-    base.verdict = "pass" && live.verdict = "pass" && migrated_ok
-    && deterministic
-    && nofence.verdict = "fail"
+  let report =
+    Obs.Json.(
+      Obj
+        [
+          ("seed", int seed);
+          ("n_keys", int n_keys);
+          ("hot_range", Arr [ int 0; int hot_hi ]);
+          ("runs", Arr (List.map measured_json runs));
+          ("deterministic", Bool deterministic);
+          ("no_fence_caught", Bool no_fence_caught);
+        ])
   in
-  Printf.printf "deterministic: %b   no-fence caught: %b   ok: %b\n%!"
-    deterministic
-    (nofence.verdict = "fail")
-    ok;
-  let b = Buffer.create 4096 in
-  Printf.bprintf b
-    "{\n  \"schema\": \"rss-repro/reshard/v1\",\n  \"smoke\": %b,\n  \
-     \"seed\": %d,\n  \"n_keys\": %d,\n  \"hot_range\": [0, %d],\n  \
-     \"runs\": [\n"
-    !smoke seed n_keys hot_hi;
-  List.iteri
-    (fun i m ->
-      Buffer.add_string b "    ";
-      measured_json b m;
-      Buffer.add_string b (if i < 3 then ",\n" else "\n"))
-    [ base; live; live2; nofence ];
-  Printf.bprintf b
-    "  ],\n  \"deterministic\": %b,\n  \"no_fence_caught\": %b,\n  \
-     \"ok\": %b\n}\n"
-    deterministic
-    (nofence.verdict = "fail")
-    ok;
-  let oc = open_out !out in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" !out;
-  if not ok then exit 1
+  (report, gates)

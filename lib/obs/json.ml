@@ -6,6 +6,65 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
+(* ------------------------------------------------------------------ *)
+(* Printing                                                            *)
+(* ------------------------------------------------------------------ *)
+
+let escape_into buf s =
+  String.iter
+    (fun ch ->
+      match ch with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s
+
+(* The shortest of %.15g / %.17g that reads back as the same float;
+   integer-valued floats print without a fraction. *)
+let number_to_string f =
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else
+    let s = Printf.sprintf "%.15g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+let is_leaf = function Arr _ | Obj _ -> false | _ -> true
+
+(* Containers holding only scalars print on one line; any other container
+   puts each element on its own line, indented two spaces per level. *)
+let to_string v =
+  let b = Buffer.create 1024 in
+  let rec go ind = function
+    | Null -> Buffer.add_string b "null"
+    | Bool x -> Buffer.add_string b (string_of_bool x)
+    | Num f -> Buffer.add_string b (number_to_string f)
+    | Str s ->
+      Buffer.add_char b '"';
+      escape_into b s;
+      Buffer.add_char b '"'
+    | Arr l -> seq ind '[' ']' (List.map (fun v -> (None, v)) l)
+    | Obj l -> seq ind '{' '}' (List.map (fun (k, v) -> (Some k, v)) l)
+  and seq ind opening closing items =
+    let flat = List.for_all (fun (_, v) -> is_leaf v) items in
+    let inner = if flat then ind else ind ^ "  " in
+    Buffer.add_char b opening;
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then Buffer.add_string b (if flat then ", " else ",");
+        if not flat then Buffer.add_string b ("\n" ^ inner);
+        Option.iter (fun k -> go ind (Str k); Buffer.add_string b ": ") k;
+        go inner v)
+      items;
+    if not (flat || items = []) then Buffer.add_string b ("\n" ^ ind);
+    Buffer.add_char b closing
+  in
+  go "" v;
+  Buffer.contents b
+
 exception Fail of string
 
 let parse s =
@@ -156,6 +215,9 @@ let parse s =
 let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
+
+let int n = Num (float_of_int n)
+let opt f = function Some x -> f x | None -> Null
 
 let to_num = function Num f -> Some f | _ -> None
 let to_str = function Str s -> Some s | _ -> None

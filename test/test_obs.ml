@@ -111,6 +111,59 @@ let test_chrome_json_parses () =
       (int_of_float (num "parent" args))
 
 (* ------------------------------------------------------------------ *)
+(* JSON printer                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Nested arrays and objects over finite floats, ints (negative too) and
+   ASCII strings biased towards the characters the printer must escape. *)
+let gen_json =
+  let open QCheck.Gen in
+  let ascii =
+    let special = oneofl [ '"'; '\\'; '\n'; '\t'; '\r'; '\000'; '\031'; '\127' ] in
+    string_size
+      ~gen:(frequency [ (3, special); (5, char_range '\000' '\127') ])
+      (int_bound 12)
+  in
+  let finite = map (fun f -> if Float.is_finite f then f else 0.0) float in
+  let scalar =
+    oneof
+      [
+        return Obs.Json.Null;
+        map (fun b -> Obs.Json.Bool b) bool;
+        map (fun f -> Obs.Json.Num f) finite;
+        map (fun n -> Obs.Json.int n) (int_range (-1_000_000_000) 1_000_000_000);
+        map (fun s -> Obs.Json.Str s) ascii;
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 0 then scalar
+         else
+           frequency
+             [
+               (2, scalar);
+               ( 1,
+                 map (fun l -> Obs.Json.Arr l) (list_size (int_bound 4) (self (n / 4)))
+               );
+               ( 1,
+                 map
+                   (fun l -> Obs.Json.Obj l)
+                   (list_size (int_bound 4) (pair ascii (self (n / 4)))) );
+             ])
+
+let prop_json_round_trip =
+  QCheck.Test.make ~name:"parse (to_string v) = Ok v" ~count:500
+    (QCheck.make ~print:Obs.Json.to_string gen_json)
+    (fun v -> Obs.Json.parse (Obs.Json.to_string v) = Ok v)
+
+let test_json_non_finite () =
+  let s =
+    Obs.Json.(to_string (Arr [ Num infinity; Num nan; Num neg_infinity; Num 3.0; Num 0.5 ]))
+  in
+  check Alcotest.string "non-finite as null, integers bare"
+    "[null, null, null, 3, 0.5]" s
+
+(* ------------------------------------------------------------------ *)
 (* Parent links across the network and RPC retransmission              *)
 (* ------------------------------------------------------------------ *)
 
@@ -437,6 +490,12 @@ let suites =
           test_hop_parents_span_sends;
         Alcotest.test_case "parent links survive rpc retransmission" `Quick
           test_rpc_retransmission_keeps_parent;
+      ] );
+    ( "obs.json",
+      [
+        QCheck_alcotest.to_alcotest prop_json_round_trip;
+        Alcotest.test_case "non-finite numbers print null" `Quick
+          test_json_non_finite;
       ] );
     ( "obs.metrics",
       [
